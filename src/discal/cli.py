@@ -118,8 +118,11 @@ def cmd_diagnose(args):
                                  minibatch_size=args.minibatch,
                                  weight_scheme=scheme, patience=args.patience,
                                  seed=args.seed, val_fraction=args.val_fraction)
-    batches_probe = lm.map_table(table, MAPPING_NAMES[args.mapping], cfg, seed=0)[:1]
-    model_cfg = clf.config_for_batches(batches_probe, hidden_sizes=args.hidden)
+    if table.S == 0:
+        raise lm.ConfigurationError("cannot map an empty table")
+    # the model layout depends only on the mapping's shapes: one run suffices
+    probe = lm.map_run(table.runs[0], MAPPING_NAMES[args.mapping], cfg)
+    model_cfg = clf.config_for_batches([probe], hidden_sizes=args.hidden)
     report, test, model = dg.run_pipeline(table, MAPPING_NAMES[args.mapping], cfg,
                                           model_cfg=model_cfg, settings=settings,
                                           B=args.B, R=args.R, alpha=args.alpha)

@@ -152,38 +152,27 @@ def _check_densities(run, cfg):
             raise ConfigurationError("linear feature log_q requested but table has no log_q")
 
 
-def rank_statistic(value, reference, rng=None):
-    """Count of reference entries strictly greater than value.
-
-    With an rng, a uniform(0, 1e-10) jitter is added to all compared values
-    first, breaking any ties deterministically given the rng state.
-    """
-    reference = np.asarray(reference, dtype=float)
-    if reference.size == 0:
-        raise InvalidParameterError("reference must be nonempty")
-    value = float(value)
-    if rng is not None:
-        jit = rng.uniform(0.0, JITTER_SCALE, size=reference.size + 1)
-        value = value + jit[0]
-        reference = reference + jit[1:]
-    return int(np.sum(reference > value))
-
-
 def _ranks_all(values, rng=None):
-    """Rank of each entry among all the others (strictly-greater count).
+    """Rank of each entry among the others along the last axis.
 
-    values has length M+1 (theta first, then draws); entry i's references
-    are all other entries, matching the construction where the label-0 rank
-    compares theta to the draws and each draw's rank compares it to the
-    other draws plus theta.
+    The rank is the strictly-greater count.  Each row of the last axis holds
+    M+1 values (theta first, then draws); entry i's references are all other
+    entries, matching the construction where the label-0 rank compares
+    theta to the draws and each draw's rank compares it to the other draws
+    plus theta.  With an rng, a uniform(0, 1e-10) jitter of the values'
+    shape is added first, breaking ties deterministically given the rng
+    state.  Leading axes are independent rows: callers that need one jitter
+    stream per row add that jitter themselves and pass no rng.
     """
     v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.shape[-1] < 2:
+        raise InvalidParameterError("ranks need a value and a nonempty reference")
     if rng is not None:
         v = v + rng.uniform(0.0, JITTER_SCALE, size=v.shape)
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v, axis=-1, kind="stable")
     pos = np.empty_like(order)
-    pos[order] = np.arange(v.size)
-    return (v.size - 1) - pos
+    np.put_along_axis(pos, order, np.arange(v.shape[-1]), axis=-1)
+    return (v.shape[-1] - 1) - pos
 
 
 def _linear_block(run, cfg, sel, rng):
@@ -303,6 +292,11 @@ _MAPPERS = {
 }
 
 
+def map_run(run, kind, cfg, rng=None):
+    """Map one run with the mapper for `kind`; rng drives the rank jitter."""
+    return _MAPPERS[MappingKind(kind)](run, cfg, rng=rng)
+
+
 def map_table(table, kind, cfg, seed=0):
     """Map every run of a table; one batch per run, ordered by run position.
 
@@ -311,9 +305,8 @@ def map_table(table, kind, cfg, seed=0):
     """
     if table.S == 0:
         raise ConfigurationError("cannot map an empty table")
-    mapper = _MAPPERS[MappingKind(kind)]
     children = np.random.SeedSequence(seed).spawn(table.S)
-    return [mapper(run, cfg, rng=np.random.default_rng(ss))
+    return [map_run(run, kind, cfg, rng=np.random.default_rng(ss))
             for run, ss in zip(table.runs, children)]
 
 

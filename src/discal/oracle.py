@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
-from .label_mapping import _ranks_all
+from .label_mapping import JITTER_SCALE, _ranks_all
 from .sim_model import InvalidParameterError
 
 ENUMERATION_BUDGET = 10**7
@@ -363,14 +363,26 @@ def optimal_weighted_elpd(p, q, M):
 # ---- SBC baseline ------------------------------------------------------------
 
 
+def _jittered_ranks(table, coordinate, seed):
+    """(S, M+1) ranks of [theta, draws] at one coordinate, for every run.
+
+    Run i's tie-breaking jitter is uniform(0, JITTER_SCALE, M+1) from the
+    i-th substream spawned from `seed`, so each run's ranks equal those of
+    _ranks_all(values, default_rng(child_i)) on that run alone.
+    """
+    K = table.M + 1
+    vals = np.empty((table.S, K))
+    children = np.random.SeedSequence(seed).spawn(table.S)
+    for i, (run, ss) in enumerate(zip(table.runs, children)):
+        vals[i, 0] = run.theta[coordinate]
+        vals[i, 1:] = run.draws[:, coordinate]
+        vals[i] += np.random.default_rng(ss).uniform(0.0, JITTER_SCALE, K)
+    return _ranks_all(vals)
+
+
 def sbc_ranks(table, coordinate=0, seed=0):
     """Rank of theta among the draws, per run, with jitter tie-breaking."""
-    children = np.random.SeedSequence(seed).spawn(table.S)
-    ranks = np.empty(table.S, dtype=int)
-    for i, (run, ss) in enumerate(zip(table.runs, children)):
-        vals = np.concatenate([[run.theta[coordinate]], run.draws[:, coordinate]])
-        ranks[i] = _ranks_all(vals, np.random.default_rng(ss))[0]
-    return ranks
+    return _jittered_ranks(table, coordinate, seed)[:, 0]
 
 
 def sbc_rank_test(table, n_bins=None, alpha=0.05, seed=0):
@@ -410,15 +422,9 @@ def naive_bayes_rank_divergence(table, seed=0):
     if table.d_theta != 1:
         raise InvalidParameterError("naive-Bayes rank estimate needs d_theta=1")
     M = table.M
-    children = np.random.SeedSequence(seed).spawn(table.S)
-    h0 = np.zeros(M + 1)
-    h1 = np.zeros(M + 1)
-    for run, ss in zip(table.runs, children):
-        vals = np.concatenate([[run.theta[0]], run.draws[:, 0]])
-        ranks = _ranks_all(vals, np.random.default_rng(ss))
-        h0[ranks[0]] += 1
-        for r in ranks[1:]:
-            h1[r] += 1
+    ranks = _jittered_ranks(table, 0, seed)
+    h0 = np.bincount(ranks[:, 0], minlength=M + 1).astype(float)
+    h1 = np.bincount(ranks[:, 1:].ravel(), minlength=M + 1).astype(float)
     if h0.sum() == 0 or h1.sum() == 0:
         raise InvalidParameterError("empty class")
     return mixture_divergence_discrete(h0 / h0.sum(), h1 / h1.sum(), 1.0 / (M + 1))

@@ -200,28 +200,58 @@ def corrupt(p, c):
     return GaussianPosterior(mean=p.mean + c.bias, covariance=c.variance_scale * p.covariance)
 
 
+def _check_rho(rho):
+    if not (0.0 <= rho < 1.0):
+        raise InvalidParameterError("rho must be in [0, 1)")
+
+
+def _ar1_in_place(x, mean, rho):
+    """Turn scaled innovations x (..., M, d) into AR(1) draws, in place.
+
+    On entry x[..., m, :] holds L z_m; on return row 0 is mean + L z_0 and
+    row m is mean + rho*(row m-1 - mean) + sqrt(1-rho^2)*L z_m.  Leading
+    axes are independent chains with their own means (..., d); the loop
+    runs over M only.  At rho=0 every row is mean + L z_m.
+    """
+    x[..., 0, :] += mean
+    if rho == 0.0:
+        x[..., 1:, :] += mean[..., None, :]
+        return x
+    innov_scale = math.sqrt(1.0 - rho * rho)
+    for m in range(1, x.shape[-2]):
+        x[..., m, :] *= innov_scale
+        x[..., m, :] += mean + rho * (x[..., m - 1, :] - mean)
+    return x
+
+
 def generate_ar1_draws(p, M, rho, rng):
     """M draws from a Gaussian AR(1) chain with stationary marginal p.
 
     theta_1 ~ p; theta_{m+1} = mu + rho*(theta_m - mu) + sqrt(1-rho^2)*L*z.
     rho=0 gives IID draws from p.  `rng` may be a Generator or an int seed.
     """
-    if not (0.0 <= rho < 1.0):
-        raise InvalidParameterError("rho must be in [0, 1)")
+    _check_rho(rho)
     if M < 1:
         raise InvalidParameterError("M must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    L = p.chol
-    innov_scale = math.sqrt(1.0 - rho * rho)
-    z = rng.standard_normal((M, p.dim)) @ L.T
-    draws = np.empty((M, p.dim))
-    x = p.mean + z[0]
-    draws[0] = x
-    for m in range(1, M):
-        x = p.mean + rho * (x - p.mean) + innov_scale * z[m]
-        draws[m] = x
-    return draws
+    z = rng.standard_normal((M, p.dim)) @ p.chol.T
+    return _ar1_in_place(z, p.mean, rho)
+
+
+def _isotropic_logpdf(x, mean, sd):
+    """log N(x; mean, sd^2 I) over the last axis of x (S, K, d); mean is (S, d).
+
+    Matches GaussianPosterior.logpdf bit for bit: the residual is scaled by
+    1/sd, as a triangular solve with a diagonal factor does, and the squares
+    are summed over a contiguous last axis.
+    """
+    d = x.shape[-1]
+    logdet = np.sum(np.log(np.full(d, sd)))
+    r = np.subtract(x, mean[:, None, :])
+    r *= 1.0 / sd
+    r *= r
+    return -0.5 * r.sum(axis=-1) - logdet - 0.5 * d * LOG_2PI
 
 
 def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rho=0.0):
@@ -233,27 +263,54 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     the corrupted one, both evaluated at [theta, draws].  Each run uses an
     independent RNG substream spawned from `seed`, so the table is
     deterministic and independent of any parallel scheduling.
+
+    Only the random draws are taken run by run (one standard_normal call of
+    2d + M*d values per substream: theta, the y noise, then the draws'
+    innovations); the arithmetic is batched over runs and gives the same
+    bits as building exact_gaussian_posterior / corrupt / generate_ar1_draws
+    for each run.  Every run's theta and draws are views into one
+    (S, M+2, d) buffer.
     """
     if d < 1 or S < 1 or M < 1:
         raise InvalidParameterError("d, S, M must all be >= 1")
-    if not sigma2 > 0:
-        raise InvalidParameterError("sigma2 must be > 0")
-    children = np.random.SeedSequence(seed).spawn(S)
-    sd = math.sqrt(sigma2)
-    runs = []
-    for i, ss in enumerate(children):
-        rng = np.random.default_rng(ss)
-        theta = rng.standard_normal(d)
-        y = theta + sd * rng.standard_normal(d)
-        exact = exact_gaussian_posterior(y, sigma2)
-        qpost = corrupt(exact, c)
-        draws = generate_ar1_draws(qpost, M, rho, rng)
-        log_p = log_q = None
-        if attach_densities:
-            pts = np.vstack([theta[None, :], draws])
-            log_p = exact.logpdf(pts)
-            log_q = qpost.logpdf(pts)
-        runs.append(SimulationRun(i, theta, y, draws, log_p, log_q))
+    if not (sigma2 > 0 and math.isfinite(sigma2)):
+        raise InvalidParameterError("sigma2 must be finite and > 0")
+    if not math.isfinite(c.bias):
+        raise InvalidParameterError("bias must be finite")
+    if not (c.variance_scale > 0 and math.isfinite(c.variance_scale)):
+        raise InvalidParameterError("variance_scale must be finite and > 0")
+    _check_rho(rho)
+    shrink = 1.0 / (1.0 + sigma2)
+    var_p = sigma2 * shrink
+    var_q = c.variance_scale * var_p
+    if not (var_p > 0 and var_q > 0 and math.isfinite(var_q)):
+        raise InvalidParameterError(
+            "posterior variance is not finite and > 0 for sigma2=%g, variance_scale=%g"
+            % (sigma2, c.variance_scale))
+    sd, sd_p, sd_q = math.sqrt(sigma2), math.sqrt(var_p), math.sqrt(var_q)
+
+    # per run, rows are [theta, y noise, z_1..z_M]: one substream each
+    buf = np.empty((S, M + 2, d))
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(S)):
+        np.random.default_rng(ss).standard_normal(out=buf[i].reshape(-1))
+    y = buf[:, 1] * sd
+    y += buf[:, 0]
+    buf[:, 1] = buf[:, 0]
+    occupants = buf[:, 1:]                 # (S, M+1, d): [theta, draws]
+    mean_p = y * shrink
+    mean_q = mean_p + c.bias
+    draws = occupants[:, 1:]
+    draws *= sd_q
+    _ar1_in_place(draws, mean_q, rho)
+
+    log_p = log_q = None
+    if attach_densities:
+        log_p = _isotropic_logpdf(occupants, mean_p, sd_p)
+        log_q = _isotropic_logpdf(occupants, mean_q, sd_q)
+    runs = [SimulationRun(i, occupants[i, 0], y[i], draws[i],
+                          None if log_p is None else log_p[i],
+                          None if log_q is None else log_q[i])
+            for i in range(S)]
     prov = ("gaussian d=%d S=%d M=%d sigma2=%g bias=%g scale=%g rho=%g seed=%d"
             % (d, S, M, sigma2, c.bias, c.variance_scale, rho, seed))
     return SimulationTable(runs=runs, d_theta=d, d_y=d, M=M, provenance=prov)

@@ -79,7 +79,7 @@ def test_criterion_03_divergence_recovery():
     settings = clf.TrainSettings(learning_rate=0.01, epochs=60, seed=32,
                                  minibatch_size=1024, patience=10,
                                  weight_scheme=clf.balanced_binary(5))
-    model_cfg_batches = lm.map_table(table, lm.MappingKind.BINARY_FULL, cfg)[:1]
+    model_cfg_batches = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_FULL, cfg)]
     model_cfg = clf.config_for_batches(model_cfg_batches, hidden_sizes=(32,))
     report, _, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg,
                                    model_cfg=model_cfg, settings=settings,
@@ -113,7 +113,7 @@ def test_criterion_04_big_m_convergence():
         settings = clf.TrainSettings(learning_rate=0.01, epochs=30, seed=s_pipe,
                                      minibatch_size=512, patience=6,
                                      val_fraction=0.5)
-        probe = lm.map_table(table, lm.MappingKind.MULTICLASS, cfg)[:1]
+        probe = [lm.map_run(table.runs[0], lm.MappingKind.MULTICLASS, cfg)]
         model_cfg = clf.config_for_batches(probe, hidden_sizes=(8,))
         report, _, _ = dg.run_pipeline(table, lm.MappingKind.MULTICLASS, cfg,
                                        model_cfg=model_cfg, settings=settings,
@@ -230,7 +230,7 @@ def _classifier_rejects(table, seed, epochs, M):
     settings = clf.TrainSettings(learning_rate=0.01, epochs=epochs, seed=seed,
                                  minibatch_size=1024, patience=3,
                                  weight_scheme=clf.balanced_binary(M))
-    probe = lm.map_table(table, lm.MappingKind.BINARY_FULL, cfg)[:1]
+    probe = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_FULL, cfg)]
     model_cfg = clf.config_for_batches(probe, hidden_sizes=(8,))
     _, test, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg,
                                  model_cfg=model_cfg, settings=settings,
@@ -266,13 +266,13 @@ def test_criterion_09_power_dominance():
         settings = clf.TrainSettings(learning_rate=0.01, epochs=20, seed=s_pipe,
                                      weight_scheme=clf.balanced_binary(10),
                                      patience=5)
-        probe = lm.map_table(table, lm.MappingKind.BINARY_FULL, feat)[:1]
+        probe = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_FULL, feat)]
         mcfg = clf.config_for_batches(probe, hidden_sizes=(8,))
         _, test_full, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, feat,
                                           model_cfg=mcfg, settings=settings,
                                           B=200, R=100)
         hits_full += test_full.p_value < 0.05
-        probe_r = lm.map_table(table, lm.MappingKind.BINARY_RANK, feat)[:1]
+        probe_r = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_RANK, feat)]
         mcfg_r = clf.config_for_batches(probe_r, hidden_sizes=(8,))
         _, test_rank, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_RANK, feat,
                                           model_cfg=mcfg_r, settings=settings,

@@ -67,20 +67,31 @@ def test_theta_subset():
 
 
 def test_rank_statistic_basic():
-    assert lm.rank_statistic(2.0, [1.0, 3.0, 4.0]) == 2
-    assert lm.rank_statistic(5.0, [1.0, 3.0, 4.0]) == 0
-    assert lm.rank_statistic(0.0, [1.0, 3.0, 4.0]) == 3
+    # entry 0 ranked against the rest: the strictly-greater count
+    assert lm._ranks_all([2.0, 1.0, 3.0, 4.0])[0] == 2
+    assert lm._ranks_all([5.0, 1.0, 3.0, 4.0])[0] == 0
+    assert lm._ranks_all([0.0, 1.0, 3.0, 4.0])[0] == 3
+    # rows along the last axis are ranked independently
+    np.testing.assert_array_equal(
+        lm._ranks_all([[2.0, 1.0, 3.0, 4.0], [5.0, 1.0, 3.0, 4.0]])[:, 0], [2, 0])
     with pytest.raises(sm.InvalidParameterError):
-        lm.rank_statistic(0.0, [])
+        lm._ranks_all([0.0])
+    with pytest.raises(sm.InvalidParameterError):
+        lm._ranks_all(np.zeros((3, 1)))
 
 
 def test_rank_statistic_jitter_breaks_ties_uniformly():
     # all values tied: the jitter must spread the rank over {0..M}
     rngs = [np.random.default_rng(s) for s in range(2000)]
-    ranks = [lm.rank_statistic(1.0, [1.0, 1.0, 1.0], rng) for rng in rngs]
+    ranks = [lm._ranks_all([1.0, 1.0, 1.0, 1.0], rng)[0] for rng in rngs]
     counts = np.bincount(ranks, minlength=4)
     assert counts.min() > 0
     # each atom should get roughly a quarter of the mass
+    assert np.all(np.abs(counts / 2000 - 0.25) < 0.05)
+    # one rng jitters a whole batch of rows; each row stays a permutation
+    batch = lm._ranks_all(np.ones((2000, 4)), np.random.default_rng(0))
+    assert np.all(np.sort(batch, axis=1) == np.arange(4))
+    counts = np.bincount(batch[:, 0], minlength=4)
     assert np.all(np.abs(counts / 2000 - 0.25) < 0.05)
 
 

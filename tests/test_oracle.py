@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from discal import label_mapping as lm
 from discal import oracle
 from discal import sim_model as sm
 
@@ -252,3 +253,41 @@ def test_naive_bayes_rank_divergence():
     wide = sm.generate_gaussian_table(2, 10, 3, 1.0, sm.Corruption(), seed=0)
     with pytest.raises(sm.InvalidParameterError):
         oracle.naive_bayes_rank_divergence(wide)
+
+
+def _per_run_ranks(table, coordinate, seed):
+    """Each run ranked on its own, with its own jitter substream."""
+    children = np.random.SeedSequence(seed).spawn(table.S)
+    return [lm._ranks_all(np.concatenate([[run.theta[coordinate]],
+                                          run.draws[:, coordinate]]),
+                          np.random.default_rng(ss))
+            for run, ss in zip(table.runs, children)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+def test_batched_sbc_ranks_match_per_run_reference(seed):
+    t = sm.generate_gaussian_table(3, 60, 9, 1.0, sm.Corruption(bias=0.4), seed=seed)
+    for j in range(3):
+        ref = np.array([r[0] for r in _per_run_ranks(t, j, seed + 1)])
+        np.testing.assert_array_equal(oracle.sbc_ranks(t, coordinate=j, seed=seed + 1),
+                                      ref)
+    # ties everywhere: only the per-run jitter streams decide the ranks
+    tied = sm.SimulationTable(
+        runs=[sm.SimulationRun(i, np.zeros(1), np.zeros(1), np.zeros((5, 1)))
+              for i in range(30)], d_theta=1, d_y=1, M=5)
+    ref = np.array([r[0] for r in _per_run_ranks(tied, 0, seed)])
+    np.testing.assert_array_equal(oracle.sbc_ranks(tied, seed=seed), ref)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 99])
+def test_batched_naive_bayes_matches_per_run_reference(seed):
+    t = sm.generate_gaussian_table(1, 300, 6, 1.0, sm.Corruption(bias=0.5), seed=seed)
+    M = t.M
+    h0 = np.zeros(M + 1)
+    h1 = np.zeros(M + 1)
+    for ranks in _per_run_ranks(t, 0, seed):
+        h0[ranks[0]] += 1
+        for r in ranks[1:]:
+            h1[r] += 1
+    ref = oracle.mixture_divergence_discrete(h0 / h0.sum(), h1 / h1.sum(), 1.0 / (M + 1))
+    assert oracle.naive_bayes_rank_divergence(t, seed=seed) == ref

@@ -191,3 +191,82 @@ def test_generate_table_invalid_parameters():
             sm.generate_gaussian_table(d, S, M, 1.0, c, seed=0)
     with pytest.raises(sm.InvalidParameterError):
         sm.generate_gaussian_table(1, 1, 1, -1.0, c, seed=0)
+    # checked before any draw, with the parameter named in the message
+    cases = (
+        ({"sigma2": math.inf}, "sigma2"),
+        ({"sigma2": math.nan}, "sigma2"),
+        ({"c": sm.Corruption(bias=math.nan)}, "bias"),
+        ({"c": sm.Corruption(bias=math.inf)}, "bias"),
+        ({"c": sm.Corruption(bias=-math.inf)}, "bias"),
+        ({"c": sm.Corruption(variance_scale=math.inf)}, "variance_scale"),
+        ({"rho": -0.1}, "rho"),
+        ({"rho": 1.0}, "rho"),
+        ({"rho": math.nan}, "rho"),
+    )
+    for override, name in cases:
+        kwargs = dict(d=2, S=3, M=4, sigma2=1.0, c=c, seed=0, rho=0.0)
+        kwargs.update(override)
+        with pytest.raises(sm.InvalidParameterError, match=name):
+            sm.generate_gaussian_table(**kwargs)
+
+
+def reference_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False,
+                             rho=0.0):
+    """The per-run generator the batched one replaced, kept verbatim.
+
+    Each run builds its exact and corrupted GaussianPosterior, draws theta, y
+    and the chain from its own substream with three RNG calls, and evaluates
+    the log densities with a triangular solve.
+    """
+
+    def ar1(p, rng):
+        innov_scale = math.sqrt(1.0 - rho * rho)
+        z = rng.standard_normal((M, p.dim)) @ p.chol.T
+        draws = np.empty((M, p.dim))
+        x = p.mean + z[0]
+        draws[0] = x
+        for m in range(1, M):
+            x = p.mean + rho * (x - p.mean) + innov_scale * z[m]
+            draws[m] = x
+        return draws
+
+    sd = math.sqrt(sigma2)
+    runs = []
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(S)):
+        rng = np.random.default_rng(ss)
+        theta = rng.standard_normal(d)
+        y = theta + sd * rng.standard_normal(d)
+        exact = sm.exact_gaussian_posterior(y, sigma2)
+        qpost = sm.corrupt(exact, c)
+        draws = ar1(qpost, rng)
+        log_p = log_q = None
+        if attach_densities:
+            pts = np.vstack([theta[None, :], draws])
+            log_p = exact.logpdf(pts)
+            log_q = qpost.logpdf(pts)
+        runs.append(sm.SimulationRun(i, theta, y, draws, log_p, log_q))
+    return sm.SimulationTable(runs=runs, d_theta=d, d_y=d, M=M)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+@pytest.mark.parametrize("corruption", [sm.Corruption(),
+                                        sm.Corruption(bias=0.3, variance_scale=1.7)])
+def test_batched_generator_matches_per_run_reference(d, rho, corruption):
+    for seed in (0, 7, 12345):
+        for densities in (True, False):
+            new = sm.generate_gaussian_table(d, 40, 13, 0.8, corruption, seed=seed,
+                                             attach_densities=densities, rho=rho)
+            ref = reference_gaussian_table(d, 40, 13, 0.8, corruption, seed=seed,
+                                           attach_densities=densities, rho=rho)
+            assert new.S == ref.S and new.has_densities == densities
+            for a, b in zip(new.runs, ref.runs):
+                assert a.run_id == b.run_id
+                np.testing.assert_array_equal(a.theta, b.theta)
+                np.testing.assert_array_equal(a.y, b.y)
+                np.testing.assert_array_equal(a.draws, b.draws)
+                if densities:
+                    np.testing.assert_allclose(a.log_p, b.log_p, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(a.log_q, b.log_q, rtol=0, atol=1e-12)
+                else:
+                    assert a.log_p is None and a.log_q is None
