@@ -284,22 +284,22 @@ def _clamped_log(p):
     return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
-def _true_label_log_probs(model, data):
-    """Log predicted probability of each example's true label (clamped)."""
+def class_log_probs(model, data):
+    """(N, K) clamped log predicted probability of every class for every example."""
     if data.multiclass:
         probs = forward_multiclass(model, data.x_nl, data.x_lin)
-        p_true = probs[np.arange(len(data.labels)), data.labels]
-        return _clamped_log(p_true)
-    p1 = expit(model.score(data.x_nl, data.x_lin))
-    p_true = np.where(data.labels == 1, p1, 1.0 - p1)
-    return _clamped_log(p_true)
+    else:
+        p1 = expit(model.score(data.x_nl, data.x_lin))
+        probs = np.column_stack([1.0 - p1, p1])
+    return _clamped_log(probs)
 
 
 def loss(model, batch_set, weight_scheme=UNWEIGHTED):
     """Mean weighted negative log predicted probability of the true label."""
     data = arrays_from_batches(batch_set)
     w = example_weights(data.labels, weight_scheme)
-    return float(-np.mean(w * _true_label_log_probs(model, data)))
+    logp = class_log_probs(model, data)[np.arange(len(data.labels)), data.labels]
+    return float(-np.mean(w * logp))
 
 
 def gradient(model, batch_set, weight_scheme=UNWEIGHTED):

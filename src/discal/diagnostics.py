@@ -53,16 +53,6 @@ class TestResult:
     seed: int
 
 
-def _log_prob_matrix(model, data):
-    """(N, K) log predicted probability of every class for every example."""
-    if data.multiclass:
-        probs = clf.forward_multiclass(model, data.x_nl, data.x_lin)
-    else:
-        p1 = expit(model.score(data.x_nl, data.x_lin))
-        probs = np.column_stack([1.0 - p1, p1])
-    return np.log(np.clip(probs, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP))
-
-
 def lpd_val(model, val_batches, weight_scheme=clf.UNWEIGHTED):
     """Mean (weighted) log predicted probability of the true labels.
 
@@ -71,7 +61,7 @@ def lpd_val(model, val_batches, weight_scheme=clf.UNWEIGHTED):
     data = clf.arrays_from_batches(val_batches)
     if len(data.labels) == 0:
         raise InvalidParameterError("empty validation set")
-    logp = _log_prob_matrix(model, data)
+    logp = clf.class_log_probs(model, data)
     w = clf.example_weights(data.labels, weight_scheme)
     scores = w * logp[np.arange(len(data.labels)), data.labels]
     return float(scores.mean()), scores
@@ -153,7 +143,7 @@ def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, s
     if B < 1:
         raise InvalidParameterError("B must be >= 1")
     data = clf.arrays_from_batches(val_batches)
-    logp = _log_prob_matrix(model, data)
+    logp = clf.class_log_probs(model, data)
     labels = data.labels
     n = labels.size
 
@@ -167,20 +157,14 @@ def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, s
     sizes = np.bincount(inverse)
     rng = np.random.default_rng(seed)
     permuted = np.empty(B)
-    if np.all(sizes == sizes[0]):
-        # equal batch sizes: permute each row of the grouped label matrix
-        logp_g = logp[order]
-        lab_mat = labels[order].reshape(uniq.size, sizes[0])
-        for b in range(B):
-            lab = rng.permuted(lab_mat, axis=1).reshape(-1)
-            permuted[b] = lpd_for(lab, logp_g)
-    else:
-        groups = [order[inverse[order] == g] for g in range(uniq.size)]
-        for b in range(B):
-            lab = labels.copy()
-            for idx in groups:
-                lab[idx] = lab[idx][rng.permutation(idx.size)]
-            permuted[b] = lpd_for(lab, logp)
+    if np.any(sizes != sizes[0]):
+        raise InvalidParameterError("permutation test needs equal batch sizes "
+                                    "(one M per table)")
+    logp_g = logp[order]
+    lab_mat = labels[order].reshape(uniq.size, sizes[0])
+    for b in range(B):
+        lab = rng.permuted(lab_mat, axis=1).reshape(-1)
+        permuted[b] = lpd_for(lab, logp_g)
     p = float(np.sum(permuted >= observed) / B)
     return TestResult(lpd_observed=observed, lpd_permuted=permuted,
                       p_value=p, B=B, seed=seed)
@@ -249,18 +233,19 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
     except Exception as exc:
         raise PipelineError("train", exc) from exc
     try:
-        lpd, scores = lpd_val(model, val_b, settings.weight_scheme)
+        val_data = clf.arrays_from_batches(val_b)
+        lpd, scores = lpd_val(model, val_data, settings.weight_scheme)
         report = divergence_estimate(lpd, settings.weight_scheme,
-                                     empirical_class_weights(val_b),
+                                     empirical_class_weights(val_data),
                                      n_val_examples=scores.size)
-        ids = clf.arrays_from_batches(val_b).batch_ids
-        lo, hi = bootstrap_ci(scores, ids, R=R, alpha=alpha, seed=seed_boot,
-                              offset=report.entropy_offset)
+        lo, hi = bootstrap_ci(scores, val_data.batch_ids, R=R, alpha=alpha,
+                              seed=seed_boot, offset=report.entropy_offset)
         report.ci_low, report.ci_high = lo, hi
     except Exception as exc:
         raise PipelineError("estimate", exc) from exc
     try:
-        test = permutation_test(model, val_b, settings.weight_scheme, B=B, seed=seed_perm)
+        test = permutation_test(model, val_data, settings.weight_scheme, B=B,
+                                seed=seed_perm)
     except Exception as exc:
         raise PipelineError("permutation", exc) from exc
     return report, test, model

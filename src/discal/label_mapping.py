@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -51,7 +51,6 @@ class FeatureConfig:
     include_y: bool = True
     theta_subset: tuple | None = None
     linear_features: tuple = ()
-    standardize: bool = True
 
     def __post_init__(self):
         if self.theta_subset is not None:
@@ -95,10 +94,6 @@ class Batch:
         return self.labels.shape[0]
 
     @property
-    def n_slots(self):
-        return self.n_classes if self.kind is MappingKind.MULTICLASS else 1
-
-    @property
     def examples(self):
         return [Example(int(t), phi, self.batch_id)
                 for t, phi in zip(self.labels, self.features)]
@@ -134,180 +129,144 @@ class Batch:
         return nl, lin
 
 
-def _selected(run, cfg):
+def _selected(d_theta, cfg):
     if cfg.theta_subset is None:
-        return np.arange(run.theta.shape[0])
+        return np.arange(d_theta)
     idx = np.asarray(cfg.theta_subset, dtype=int)
-    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= run.theta.shape[0]):
+    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= d_theta):
         raise ConfigurationError("theta_subset indices out of range for d_theta=%d"
-                                 % run.theta.shape[0])
+                                 % d_theta)
     return idx
 
 
-def _check_densities(run, cfg):
-    for name in cfg.linear_features:
-        if name == "log_p" and run.log_p is None:
-            raise ConfigurationError("linear feature log_p requested but table has no log_p")
-        if name == "log_q" and run.log_q is None:
-            raise ConfigurationError("linear feature log_q requested but table has no log_q")
-
-
-def _ranks_all(values, rng=None):
+def _ranks_all(values):
     """Rank of each entry among the others along the last axis.
 
     The rank is the strictly-greater count.  Each row of the last axis holds
     M+1 values (theta first, then draws); entry i's references are all other
     entries, matching the construction where the label-0 rank compares
     theta to the draws and each draw's rank compares it to the other draws
-    plus theta.  With an rng, a uniform(0, 1e-10) jitter of the values'
-    shape is added first, breaking ties deterministically given the rng
-    state.  Leading axes are independent rows: callers that need one jitter
-    stream per row add that jitter themselves and pass no rng.
+    plus theta.  Exact ties are broken by position; _jittered_ranks_all
+    breaks them at random instead.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 2:
         raise InvalidParameterError("ranks need a value and a nonempty reference")
-    if rng is not None:
-        v = v + rng.uniform(0.0, JITTER_SCALE, size=v.shape)
     order = np.argsort(v, axis=-1, kind="stable")
     pos = np.empty_like(order)
     np.put_along_axis(pos, order, np.arange(v.shape[-1]), axis=-1)
     return (v.shape[-1] - 1) - pos
 
 
-def _linear_block(run, cfg, sel, rng):
-    """(M+1, n_linear) linear features for occupants [theta, draws]."""
-    cols = []
-    names = []
-    for name in cfg.linear_features:
-        if name == "log_p":
-            cols.append(run.log_p)
-            names.append("log_p")
-        elif name == "log_q":
-            cols.append(run.log_q)
-            names.append("log_q")
-        elif name == "rank":
-            for j in sel:
-                vals = np.concatenate([[run.theta[j]], run.draws[:, j]])
-                cols.append(_ranks_all(vals, rng).astype(float))
-                names.append("rank%d" % j)
-    if not cols:
-        return np.zeros((run.M + 1, 0)), ()
-    return np.column_stack(cols), tuple(names)
+def _jittered_ranks_all(values, seed):
+    """_ranks_all of (S, n, K) values after a per-run tie-breaking jitter.
 
-
-def _map_binary(run, cfg, include_y, rng):
-    _check_densities(run, cfg)
-    sel = _selected(run, cfg)
-    M = run.M
-    occupants = np.vstack([run.theta[sel][None, :], run.draws[:, sel]])
-    blocks = [occupants]
-    d_y = 0
-    if include_y:
-        blocks.append(np.repeat(run.y[None, :], M + 1, axis=0))
-        d_y = run.y.shape[0]
-    lin, names = _linear_block(run, cfg, sel, rng)
-    features = np.hstack(blocks + [lin])
-    labels = np.concatenate([[0], np.ones(M, dtype=int)])
-    kind = MappingKind.BINARY_FULL if include_y else MappingKind.BINARY_NO_Y
-    return Batch(batch_id=int(run.run_id), labels=labels, features=features,
-                 kind=kind, n_classes=2, d_nonlinear=sel.size + d_y,
-                 n_linear=lin.shape[1], linear_names=names,
-                 d_theta_sel=sel.size, d_y=d_y)
-
-
-def map_binary_full(run, cfg, rng=None):
-    """Label 0 <-> (theta, y); label 1 <-> (draw_m, y), m = 1..M."""
-    return _map_binary(run, cfg, include_y=cfg.include_y, rng=rng)
-
-
-def map_binary_no_y(run, cfg, rng=None):
-    """Binary mapping with y omitted from the features."""
-    return _map_binary(run, cfg, include_y=False, rng=rng)
-
-
-def map_binary_rank(run, cfg, rng=None):
-    """Binary mapping on rank statistics of a single theta coordinate.
-
-    Label-0 feature: rank of theta among the M draws.  Label-1 feature for
-    draw m: its rank among the other draws plus theta.
+    Run i adds one uniform(0, JITTER_SCALE, (n, K)) draw from the i-th
+    substream of SeedSequence(seed).spawn(S), so a run's ranks depend only
+    on its own values, its position and the seed.
     """
-    _check_densities(run, cfg)
-    sel = _selected(run, cfg)
-    if sel.size != 1:
+    S, n, K = values.shape
+    jitter = np.empty((S, n, K))
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(S)):
+        jitter[i] = np.random.default_rng(ss).uniform(0.0, JITTER_SCALE, (n, K))
+    return _ranks_all(values + jitter)
+
+
+def _cyclic_insertion(K):
+    """(K, K) occupant index: row k is [1..k, 0, k+1..K-1] (theta in slot k)."""
+    k = np.arange(K)[:, None]
+    j = np.arange(K)[None, :]
+    return np.where(j < k, j + 1, np.where(j == k, 0, j))
+
+
+def _map_runs(runs, kind, cfg, seed):
+    """Map runs sharing (d_theta, d_y, M) to one Batch each, all at once.
+
+    Every mapping starts from the same (S, K, .) rows, K = M+1 occupants per
+    run with theta in slot 0: [occupant (or its rank) | y | linear].  These
+    rows are the binary layout; multiclass gathers them by cyclic insertion.
+    Batch s's features are the view buf[s] of one (S, K, F) buffer.  The
+    seed drives only the rank jitter, whose rows per run are the rank
+    mapping's feature first, then each 'rank' linear feature's coordinates
+    in theta_subset order.
+    """
+    kind = MappingKind(kind)
+    for name in cfg.linear_features:
+        if name != "rank" and any(getattr(r, name) is None for r in runs):
+            raise ConfigurationError("linear feature %s requested but table has no %s"
+                                     % (name, name))
+    first = runs[0]
+    sel = _selected(first.theta.shape[0], cfg)
+    if kind is MappingKind.BINARY_RANK and sel.size != 1:
         raise ConfigurationError(
             "rank mapping needs a scalar theta; got %d coordinates "
             "(use theta_subset to pick one)" % sel.size)
-    j = sel[0]
-    vals = np.concatenate([[run.theta[j]], run.draws[:, j]])
-    ranks = _ranks_all(vals, rng).astype(float)
-    lin, names = _linear_block(run, cfg, sel, rng)
-    features = np.hstack([ranks[:, None], lin])
-    labels = np.concatenate([[0], np.ones(run.M, dtype=int)])
-    return Batch(batch_id=int(run.run_id), labels=labels, features=features,
-                 kind=MappingKind.BINARY_RANK, n_classes=2, d_nonlinear=1,
-                 n_linear=lin.shape[1], linear_names=names,
-                 d_theta_sel=1, d_y=0)
+    include_y = cfg.include_y and kind in (MappingKind.BINARY_FULL, MappingKind.MULTICLASS)
+    if kind is MappingKind.BINARY_FULL and not include_y:
+        kind = MappingKind.BINARY_NO_Y
+    S, K, ds = len(runs), first.M + 1, sel.size
+    d_y = first.y.shape[0] if include_y else 0
+    p = sum(ds if name == "rank" else 1 for name in cfg.linear_features)
+
+    # written in place: the binary rows are the output, with no temporaries
+    # of their size
+    rows = np.empty((S, K, ds + d_y + p))
+    occ = np.empty((S, K, 1)) if kind is MappingKind.BINARY_RANK else rows[:, :, :ds]
+    occ[:, 0] = np.stack([r.theta for r in runs])[:, sel]
+    np.stack([r.draws[:, sel] for r in runs], out=occ[:, 1:])
+    if d_y:
+        rows[:, :, ds:ds + d_y] = np.stack([r.y for r in runs])[:, None, :]
+    ranked = [occ[:, :, 0]] if kind is MappingKind.BINARY_RANK else []
+    ranked += [occ[:, :, i] for name in cfg.linear_features if name == "rank"
+               for i in range(ds)]
+    if ranked:
+        ranks = iter(_jittered_ranks_all(np.stack(ranked, axis=1), seed)
+                     .astype(float).transpose(1, 0, 2))
+    if kind is MappingKind.BINARY_RANK:
+        rows[:, :, 0] = next(ranks)
+    lin = rows[:, :, ds + d_y:]
+    names = []
+    for name in cfg.linear_features:
+        if name == "rank":
+            for j in sel:
+                lin[:, :, len(names)] = next(ranks)
+                names.append("rank%d" % j)
+        else:
+            np.stack([getattr(r, name) for r in runs], out=lin[:, :, len(names)])
+            names.append(name)
+
+    if kind is MappingKind.MULTICLASS:
+        idx = _cyclic_insertion(K)
+        buf = np.empty((S, K, K * ds + d_y + K * p))
+        buf[:, :, :K * ds] = rows[:, idx, :ds].reshape(S, K, K * ds)
+        buf[:, :, K * ds:K * ds + d_y] = rows[:, :1, ds:ds + d_y]
+        buf[:, :, K * ds + d_y:] = rows[:, idx, ds + d_y:].reshape(S, K, K * p)
+        labels, n_classes = np.arange(K), K
+    else:
+        buf = rows
+        labels, n_classes = np.concatenate([[0], np.ones(K - 1, dtype=int)]), 2
+    labels.flags.writeable = False  # one array shared by every batch
+    return [Batch(batch_id=int(r.run_id), labels=labels, features=buf[s], kind=kind,
+                  n_classes=n_classes, d_nonlinear=ds + d_y, n_linear=p,
+                  linear_names=tuple(names), d_theta_sel=ds, d_y=d_y)
+            for s, r in enumerate(runs)]
 
 
-def map_multiclass(run, cfg, rng=None):
-    """K = M+1 classes: example k places theta in slot k among the draws.
-
-    Cyclic insertion: slot contents for example k are
-    (draw_1..draw_k, theta, draw_{k+1}..draw_M), so draws keep their
-    original relative order.
-    """
-    _check_densities(run, cfg)
-    sel = _selected(run, cfg)
-    M = run.M
-    K = M + 1
-    theta_sel = run.theta[sel]
-    draws_sel = run.draws[:, sel]
-    lin, names = _linear_block(run, cfg, sel, rng)  # rows ordered [theta, draws]
-    d_y = run.y.shape[0] if cfg.include_y else 0
-    p = lin.shape[1]
-    features = np.empty((K, K * sel.size + d_y + K * p))
-    labels = np.arange(K)
-    for k in range(K):
-        # occupant indices into [theta, draws]: draws 1..k, theta, draws k+1..M
-        occ = np.concatenate([np.arange(1, k + 1), [0], np.arange(k + 1, M + 1)])
-        slot_vals = np.vstack([theta_sel[None, :] if i == 0 else draws_sel[i - 1][None, :]
-                               for i in occ])
-        parts = [slot_vals.ravel()]
-        if d_y:
-            parts.append(run.y)
-        parts.append(lin[occ].ravel())
-        features[k] = np.concatenate(parts)
-    return Batch(batch_id=int(run.run_id), labels=labels, features=features,
-                 kind=MappingKind.MULTICLASS, n_classes=K,
-                 d_nonlinear=sel.size + d_y, n_linear=p, linear_names=names,
-                 d_theta_sel=sel.size, d_y=d_y)
-
-
-_MAPPERS = {
-    MappingKind.BINARY_FULL: map_binary_full,
-    MappingKind.BINARY_NO_Y: map_binary_no_y,
-    MappingKind.BINARY_RANK: map_binary_rank,
-    MappingKind.MULTICLASS: map_multiclass,
-}
-
-
-def map_run(run, kind, cfg, rng=None):
-    """Map one run with the mapper for `kind`; rng drives the rank jitter."""
-    return _MAPPERS[MappingKind(kind)](run, cfg, rng=rng)
+def map_run(run, kind, cfg, seed=0):
+    """Map one run; the result equals map_table's batch for a table of that run."""
+    return _map_runs([run], kind, cfg, seed)[0]
 
 
 def map_table(table, kind, cfg, seed=0):
     """Map every run of a table; one batch per run, ordered by run position.
 
     The seed drives only the rank tie-breaking jitter (one substream per
-    run), so mappings without ranks are seed-independent.
+    run, spawned only when a rank is requested), so mappings without ranks
+    are seed-independent.
     """
     if table.S == 0:
         raise ConfigurationError("cannot map an empty table")
-    children = np.random.SeedSequence(seed).spawn(table.S)
-    return [map_run(run, kind, cfg, rng=np.random.default_rng(ss))
-            for run, ss in zip(table.runs, children)]
+    return _map_runs(table.runs, kind, cfg, seed)
 
 
 def split_batches(batches, val_fraction, seed=0):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
-from .label_mapping import JITTER_SCALE, _ranks_all
+from .label_mapping import _jittered_ranks_all
 from .sim_model import InvalidParameterError
 
 ENUMERATION_BUDGET = 10**7
@@ -366,18 +366,14 @@ def optimal_weighted_elpd(p, q, M):
 def _jittered_ranks(table, coordinate, seed):
     """(S, M+1) ranks of [theta, draws] at one coordinate, for every run.
 
-    Run i's tie-breaking jitter is uniform(0, JITTER_SCALE, M+1) from the
-    i-th substream spawned from `seed`, so each run's ranks equal those of
-    _ranks_all(values, default_rng(child_i)) on that run alone.
+    The tie-breaking jitter follows label_mapping's rule: run i draws it
+    from the i-th substream spawned from `seed`.
     """
-    K = table.M + 1
-    vals = np.empty((table.S, K))
-    children = np.random.SeedSequence(seed).spawn(table.S)
-    for i, (run, ss) in enumerate(zip(table.runs, children)):
-        vals[i, 0] = run.theta[coordinate]
-        vals[i, 1:] = run.draws[:, coordinate]
-        vals[i] += np.random.default_rng(ss).uniform(0.0, JITTER_SCALE, K)
-    return _ranks_all(vals)
+    vals = np.empty((table.S, 1, table.M + 1))
+    for i, run in enumerate(table.runs):
+        vals[i, 0, 0] = run.theta[coordinate]
+        vals[i, 0, 1:] = run.draws[:, coordinate]
+    return _jittered_ranks_all(vals, seed)[:, 0]
 
 
 def sbc_ranks(table, coordinate=0, seed=0):

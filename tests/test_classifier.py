@@ -166,7 +166,8 @@ def test_predict_log_prob_matches_batch_forward():
         cfg = clf.config_for_batches(batches, hidden_sizes=(4,))
         model = clf.Model(cfg, seed=9)
         data = clf.arrays_from_batches(batches)
-        expected = clf._true_label_log_probs(model, data)
+        expected = clf.class_log_probs(model, data)[np.arange(data.labels.size),
+                                                   data.labels]
         got = [clf.predict_log_prob(model, ex)
                for b in batches for ex in b.examples]
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -180,8 +181,8 @@ def test_serialization_round_trip():
     np.testing.assert_array_equal(clone.get_params(), model.get_params())
     np.testing.assert_array_equal(clone.x_mean, model.x_mean)
     data = clf.arrays_from_batches(batches)
-    np.testing.assert_allclose(clf._true_label_log_probs(clone, data),
-                               clf._true_label_log_probs(model, data), atol=0)
+    np.testing.assert_allclose(clf.class_log_probs(clone, data),
+                               clf.class_log_probs(model, data), atol=0)
     with pytest.raises(sm.InvalidParameterError):
         clf.model_from_json('{"version": 99}')
 

@@ -121,13 +121,12 @@ def test_permutation_test_unequal_batch_sizes():
     batches = make_batches(bias=1.5, S=40, seed=6)
     model = oracle_weight_model(1)
     data = clf.arrays_from_batches(batches)
-    # drop one example to force the unequal-size code path
+    # one M per table gives equal batch sizes; anything else is rejected
     trimmed = clf.ExampleArrays(multiclass=False, x_nl=data.x_nl[1:],
                                 x_lin=data.x_lin[1:], labels=data.labels[1:],
                                 batch_ids=data.batch_ids[1:], n_classes=2)
-    res = dg.permutation_test(model, trimmed, B=300, seed=7)
-    assert 0.0 <= res.p_value <= 1.0
-    assert res.p_value < 0.05
+    with pytest.raises(sm.InvalidParameterError):
+        dg.permutation_test(model, trimmed, B=300, seed=7)
 
 
 def test_permutation_test_validation():

@@ -18,7 +18,7 @@ def small_table(d=2, S=6, M=3, bias=0.0, seed=0, densities=True):
 def test_binary_full_layout():
     t = small_table()
     run = t.runs[0]
-    b = lm.map_binary_full(run, lm.FeatureConfig())
+    b = lm.map_run(run, lm.MappingKind.BINARY_FULL, lm.FeatureConfig())
     assert b.kind is lm.MappingKind.BINARY_FULL
     assert b.features.shape == (4, 4)  # (theta 2 | y 2) per example
     np.testing.assert_array_equal(b.labels, [0, 1, 1, 1])
@@ -29,7 +29,7 @@ def test_binary_full_layout():
 
 def test_binary_no_y_drops_y():
     t = small_table()
-    b = lm.map_binary_no_y(t.runs[0], lm.FeatureConfig())
+    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_NO_Y, lm.FeatureConfig())
     assert b.kind is lm.MappingKind.BINARY_NO_Y
     assert b.features.shape == (4, 2)
     np.testing.assert_allclose(b.features[0], t.runs[0].theta)
@@ -38,7 +38,7 @@ def test_binary_no_y_drops_y():
 def test_linear_feature_block_order_and_names():
     t = small_table(d=1)
     cfg = lm.FeatureConfig(linear_features=("log_q", "log_p"))
-    b = lm.map_binary_full(t.runs[0], cfg)
+    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_FULL, cfg)
     assert b.linear_names == ("log_q", "log_p")
     np.testing.assert_allclose(b.linear()[:, 0], t.runs[0].log_q)
     np.testing.assert_allclose(b.linear()[:, 1], t.runs[0].log_p)
@@ -48,7 +48,7 @@ def test_density_features_require_densities():
     t = small_table(densities=False)
     cfg = lm.FeatureConfig(linear_features=("log_p",))
     with pytest.raises(lm.ConfigurationError):
-        lm.map_binary_full(t.runs[0], cfg)
+        lm.map_run(t.runs[0], lm.MappingKind.BINARY_FULL, cfg)
 
 
 def test_unknown_linear_feature_rejected():
@@ -59,11 +59,12 @@ def test_unknown_linear_feature_rejected():
 def test_theta_subset():
     t = small_table(d=3)
     cfg = lm.FeatureConfig(theta_subset=(2,))
-    b = lm.map_binary_no_y(t.runs[0], cfg)
+    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_NO_Y, cfg)
     assert b.features.shape == (4, 1)
     np.testing.assert_allclose(b.features[0, 0], t.runs[0].theta[2])
     with pytest.raises(lm.ConfigurationError):
-        lm.map_binary_no_y(t.runs[0], lm.FeatureConfig(theta_subset=(5,)))
+        lm.map_run(t.runs[0], lm.MappingKind.BINARY_NO_Y,
+                   lm.FeatureConfig(theta_subset=(5,)))
 
 
 def test_rank_statistic_basic():
@@ -81,18 +82,24 @@ def test_rank_statistic_basic():
 
 
 def test_rank_statistic_jitter_breaks_ties_uniformly():
-    # all values tied: the jitter must spread the rank over {0..M}
-    rngs = [np.random.default_rng(s) for s in range(2000)]
-    ranks = [lm._ranks_all([1.0, 1.0, 1.0, 1.0], rng)[0] for rng in rngs]
+    # all values tied: each run's own jitter substream must spread the rank
+    # over {0..M}
+    ranks = lm._jittered_ranks_all(np.ones((2000, 1, 4)), seed=0)[:, 0, 0]
     counts = np.bincount(ranks, minlength=4)
     assert counts.min() > 0
     # each atom should get roughly a quarter of the mass
     assert np.all(np.abs(counts / 2000 - 0.25) < 0.05)
-    # one rng jitters a whole batch of rows; each row stays a permutation
-    batch = lm._ranks_all(np.ones((2000, 4)), np.random.default_rng(0))
+    # one draw jitters all of a run's rows; each row stays a permutation
+    batch = lm._jittered_ranks_all(np.ones((500, 4, 4)), seed=1).reshape(2000, 4)
     assert np.all(np.sort(batch, axis=1) == np.arange(4))
     counts = np.bincount(batch[:, 0], minlength=4)
     assert np.all(np.abs(counts / 2000 - 0.25) < 0.05)
+    # run i's jitter is one (n, K) draw from the i-th spawned substream
+    vals = np.ones((3, 2, 4))
+    children = np.random.SeedSequence(7).spawn(3)
+    ref = [lm._ranks_all(v + np.random.default_rng(ss).uniform(0.0, lm.JITTER_SCALE, (2, 4)))
+           for v, ss in zip(vals, children)]
+    np.testing.assert_array_equal(lm._jittered_ranks_all(vals, seed=7), ref)
 
 
 def test_ranks_all_matches_pairwise_definition():
@@ -105,20 +112,20 @@ def test_ranks_all_matches_pairwise_definition():
 
 def test_rank_mapping_layout_and_scalar_requirement():
     t = small_table(d=1, M=4)
-    b = lm.map_binary_rank(t.runs[0], lm.FeatureConfig(), rng=np.random.default_rng(0))
+    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_RANK, lm.FeatureConfig())
     assert b.kind is lm.MappingKind.BINARY_RANK
     assert b.features.shape == (5, 1)
     # ranks over M+1 values are a permutation of 0..M when there are no ties
     assert sorted(b.features[:, 0].astype(int).tolist()) == [0, 1, 2, 3, 4]
     t2 = small_table(d=2)
     with pytest.raises(lm.ConfigurationError):
-        lm.map_binary_rank(t2.runs[0], lm.FeatureConfig())
+        lm.map_run(t2.runs[0], lm.MappingKind.BINARY_RANK, lm.FeatureConfig())
 
 
 def test_multiclass_cyclic_insertion():
     t = small_table(d=2, M=3)
     run = t.runs[0]
-    b = lm.map_multiclass(run, lm.FeatureConfig())
+    b = lm.map_run(run, lm.MappingKind.MULTICLASS, lm.FeatureConfig())
     K = 4
     assert b.kind is lm.MappingKind.MULTICLASS
     assert b.n_classes == K
@@ -136,7 +143,7 @@ def test_multiclass_cyclic_insertion():
 def test_multiclass_slot_views():
     t = small_table(d=1, M=2)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
-    b = lm.map_multiclass(t.runs[0], cfg)
+    b = lm.map_run(t.runs[0], lm.MappingKind.MULTICLASS, cfg)
     nl, lin = b.slot_views()
     assert nl.shape == (3, 3, 2)   # (examples, slots, theta+y)
     assert lin.shape == (3, 3, 2)
@@ -213,3 +220,135 @@ def test_batch_examples_view():
     assert len(exs) == 3
     assert exs[0].label == 0 and exs[1].batch_id == b.batch_id
     np.testing.assert_allclose(exs[2].feature, b.features[2])
+
+
+# ---- guard: the batched mapper against the per-run reference ---------------
+
+
+def _reference_ranks(vals, rng):
+    v = vals + rng.uniform(0.0, lm.JITTER_SCALE, size=vals.shape)
+    order = np.argsort(v, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(v.size)
+    return (v.size - 1) - pos
+
+
+def reference_map_run(run, kind, cfg, rng):
+    """Frozen per-run mappers: one run, one rng drawn from in mapping order."""
+    for name in cfg.linear_features:
+        if name in ("log_p", "log_q") and getattr(run, name) is None:
+            raise lm.ConfigurationError("missing %s" % name)
+    d = run.theta.shape[0]
+    sel = np.arange(d) if cfg.theta_subset is None else np.asarray(cfg.theta_subset)
+    if sel.size == 0 or np.any(sel < 0) or np.any(sel >= d):
+        raise lm.ConfigurationError("theta_subset out of range")
+    M = run.M
+    occupants = np.vstack([run.theta[sel][None, :], run.draws[:, sel]])
+    ranks = None
+    if kind is lm.MappingKind.BINARY_RANK:
+        if sel.size != 1:
+            raise lm.ConfigurationError("rank mapping needs a scalar theta")
+        ranks = _reference_ranks(occupants[:, 0], rng).astype(float)
+    cols, names = [], []
+    for name in cfg.linear_features:
+        if name == "rank":
+            for i, j in enumerate(sel):
+                cols.append(_reference_ranks(occupants[:, i], rng).astype(float))
+                names.append("rank%d" % j)
+        else:
+            cols.append(getattr(run, name))
+            names.append(name)
+    lin = np.column_stack(cols) if cols else np.zeros((M + 1, 0))
+    labels = np.concatenate([[0], np.ones(M, dtype=int)])
+    meta = dict(batch_id=int(run.run_id), n_classes=2, n_linear=lin.shape[1],
+                linear_names=tuple(names), d_theta_sel=sel.size)
+    if kind is lm.MappingKind.BINARY_RANK:
+        return lm.Batch(labels=labels, features=np.hstack([ranks[:, None], lin]),
+                        kind=kind, d_nonlinear=1, d_y=0, **meta)
+    include_y = cfg.include_y and kind is not lm.MappingKind.BINARY_NO_Y
+    d_y = run.y.shape[0] if include_y else 0
+    if kind is lm.MappingKind.MULTICLASS:
+        K = M + 1
+        features = np.empty((K, K * sel.size + d_y + K * lin.shape[1]))
+        for k in range(K):
+            occ = np.concatenate([np.arange(1, k + 1), [0], np.arange(k + 1, K)])
+            parts = [occupants[occ].ravel()] + ([run.y] if d_y else [])
+            features[k] = np.concatenate(parts + [lin[occ].ravel()])
+        meta.update(n_classes=K)
+        return lm.Batch(labels=np.arange(K), features=features, kind=kind,
+                        d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
+    blocks = [occupants] + ([np.repeat(run.y[None, :], M + 1, axis=0)] if d_y else [])
+    kind = lm.MappingKind.BINARY_FULL if include_y else lm.MappingKind.BINARY_NO_Y
+    return lm.Batch(labels=labels, features=np.hstack(blocks + [lin]), kind=kind,
+                    d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
+
+
+def reference_map_table(table, kind, cfg, seed):
+    children = np.random.SeedSequence(seed).spawn(table.S)
+    return [reference_map_run(run, kind, cfg, np.random.default_rng(ss))
+            for run, ss in zip(table.runs, children)]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+def _assert_same_batches(got, ref):
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g.features, r.features, strict=True)
+        np.testing.assert_array_equal(g.labels, r.labels, strict=True)
+        for name in ("batch_id", "kind", "n_classes", "d_nonlinear", "n_linear",
+                     "linear_names", "d_theta_sel", "d_y"):
+            assert getattr(g, name) == getattr(r, name), name
+
+
+def _tied_table(d, S=9, M=4):
+    return sm.SimulationTable(
+        runs=[sm.SimulationRun(i, np.zeros(d), np.zeros(2), np.zeros((M, d)),
+                               log_p=np.zeros(M + 1), log_q=np.zeros(M + 1))
+              for i in range(S)], d_theta=d, d_y=2, M=M)
+
+
+FEATURE_SETS = ((), ("log_p", "log_q"), ("rank",), ("log_q", "rank", "log_p"))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("d", [1, 3])
+def test_batched_mapper_matches_per_run_reference(seed, d):
+    tables = [sm.generate_gaussian_table(d, 7, 4, 1.0, sm.Corruption(bias=0.3),
+                                         seed=seed, attach_densities=True),
+              _tied_table(d)]
+    for table in tables:
+        for kind in lm.MappingKind:
+            for feats in FEATURE_SETS:
+                for subset in (None, (d - 1,), (0, d - 1)):
+                    for include_y in (True, False):
+                        cfg = lm.FeatureConfig(include_y=include_y, theta_subset=subset,
+                                               linear_features=feats)
+                        ref = _outcome(lambda: reference_map_table(table, kind, cfg, seed))
+                        got = _outcome(lambda: lm.map_table(table, kind, cfg, seed))
+                        _assert_same_batches(got, ref)
+                        one = _outcome(lambda: [lm.map_run(table.runs[0], kind, cfg, seed)])
+                        _assert_same_batches(one, ref if isinstance(ref, type) else ref[:1])
+
+
+def test_batched_mapper_error_types_match_reference():
+    bare = small_table(d=1, densities=False)
+    wide = small_table(d=2)
+    cases = ((bare, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(linear_features=("log_q",))),
+             (bare, lm.MappingKind.MULTICLASS, lm.FeatureConfig(linear_features=("log_p",))),
+             (wide, lm.MappingKind.BINARY_RANK, lm.FeatureConfig()),
+             (wide, lm.MappingKind.MULTICLASS, lm.FeatureConfig(theta_subset=(2,))),
+             (wide, lm.MappingKind.BINARY_NO_Y, lm.FeatureConfig(theta_subset=())))
+    for table, kind, cfg in cases:
+        ref = _outcome(lambda: reference_map_table(table, kind, cfg, 0))
+        assert ref is lm.ConfigurationError
+        _assert_same_batches(_outcome(lambda: lm.map_table(table, kind, cfg, 0)), ref)
+        _assert_same_batches(_outcome(lambda: [lm.map_run(table.runs[0], kind, cfg)]), ref)

@@ -258,10 +258,12 @@ def test_naive_bayes_rank_divergence():
 def _per_run_ranks(table, coordinate, seed):
     """Each run ranked on its own, with its own jitter substream."""
     children = np.random.SeedSequence(seed).spawn(table.S)
-    return [lm._ranks_all(np.concatenate([[run.theta[coordinate]],
-                                          run.draws[:, coordinate]]),
-                          np.random.default_rng(ss))
-            for run, ss in zip(table.runs, children)]
+    ranks = []
+    for run, ss in zip(table.runs, children):
+        vals = np.concatenate([[run.theta[coordinate]], run.draws[:, coordinate]])
+        jitter = np.random.default_rng(ss).uniform(0.0, lm.JITTER_SCALE, vals.shape)
+        ranks.append(lm._ranks_all(vals + jitter))
+    return ranks
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2024])
