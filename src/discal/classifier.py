@@ -20,12 +20,13 @@ deterministic given the seed (fixed shuffle order, fixed reduction order).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .label_mapping import Batch, MappingKind
+from .label_mapping import MappingKind, _cyclic_insertion, slot_rows
 from .sim_model import InvalidParameterError
 
 PROB_CLAMP = 1e-12
@@ -124,7 +125,12 @@ class TrainSettings:
 
 
 class Model:
-    """MLP weights + linear-feature weight vector + input standardizer."""
+    """MLP weights + linear-feature weight vector + input standardizer.
+
+    The weights, biases and w_linear are views into one flat buffer,
+    `params`, in get_params() order, so an optimizer can update them all in
+    place.
+    """
 
     SERIAL_VERSION = 1
 
@@ -132,15 +138,23 @@ class Model:
         self.config = config
         rng = np.random.default_rng(seed)
         dims = [config.input_dim] + list(config.hidden_sizes) + [1]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(max(fan_in, 1))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        layers = list(zip(dims[:-1], dims[1:]))
         nlin = config.n_linear_features
+        shapes = layers + [(fan_out,) for _, fan_out in layers] + [(nlin,)]
+        self.params = np.zeros(sum(math.prod(shape) for shape in shapes))
+        views, offset = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            views.append(self.params[offset:offset + n].reshape(shape))
+            offset += n
+        self.weights = views[:len(layers)]
+        self.biases = views[len(layers):-1]
+        self.w_linear = views[-1]
+        for W, (fan_in, fan_out) in zip(self.weights, layers):
+            bound = 1.0 / np.sqrt(max(fan_in, 1))
+            W[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         bound = 1.0 / np.sqrt(max(nlin, 1))
-        self.w_linear = rng.uniform(-bound, bound, size=nlin)
+        self.w_linear[...] = rng.uniform(-bound, bound, size=nlin)
         self.x_mean = np.zeros(config.input_dim)
         self.x_scale = np.ones(config.input_dim)
 
@@ -150,17 +164,14 @@ class Model:
         return self.weights + self.biases + [self.w_linear]
 
     def get_params(self):
-        return np.concatenate([a.ravel() for a in self.param_arrays()])
+        """A copy of the flat parameter vector."""
+        return self.params.copy()
 
     def set_params(self, flat):
         flat = np.asarray(flat, dtype=float)
-        offset = 0
-        for arr in self.param_arrays():
-            n = arr.size
-            arr[...] = flat[offset:offset + n].reshape(arr.shape)
-            offset += n
-        if offset != flat.size:
+        if flat.size != self.params.size:
             raise InvalidParameterError("parameter vector has wrong length")
+        self.params[...] = flat.ravel()
 
     def set_standardizer(self, mean, scale):
         self.x_mean = np.asarray(mean, dtype=float)
@@ -240,12 +251,28 @@ def forward_multiclass(model, slots_nl, slots_lin=None):
 
 @dataclass
 class ExampleArrays:
+    """Assembled examples: N binary examples, or N multiclass examples of K slots.
+
+    `rows` is one (N, F) block (binary) or (N, K, F) block (multiclass),
+    F = d + p, and x_nl and x_lin are its column views.  The K
+    multiclass examples of one run are the cyclic insertions of its
+    occupants: label k puts theta in slot k and the draws keep their order
+    (label_mapping._cyclic_insertion).  Training minibatches carry no
+    batch ids.
+    """
+
     multiclass: bool
     x_nl: np.ndarray      # (N, d) or (N, K, d)
     x_lin: np.ndarray     # (N, p) or (N, K, p)
     labels: np.ndarray
-    batch_ids: np.ndarray
+    batch_ids: np.ndarray | None
     n_classes: int
+    rows: np.ndarray | None = None
+
+    @classmethod
+    def from_rows(cls, multiclass, rows, d, labels, batch_ids, n_classes):
+        return cls(multiclass=multiclass, x_nl=rows[..., :d], x_lin=rows[..., d:],
+                   labels=labels, batch_ids=batch_ids, n_classes=n_classes, rows=rows)
 
 
 def arrays_from_batches(batches):
@@ -253,20 +280,15 @@ def arrays_from_batches(batches):
         raise InvalidParameterError("empty batch list")
     if isinstance(batches, ExampleArrays):
         return batches
-    kind = batches[0].kind
-    mc = kind is MappingKind.MULTICLASS
+    b0 = batches[0]
+    mc = b0.kind is MappingKind.MULTICLASS
     labels = np.concatenate([b.labels for b in batches])
     ids = np.concatenate([np.full(b.n_examples, b.batch_id) for b in batches])
+    features = np.concatenate([b.features for b in batches])
     if mc:
-        nl_parts, lin_parts = zip(*(b.slot_views() for b in batches))
-        x_nl = np.concatenate(nl_parts, axis=0)
-        x_lin = np.concatenate(lin_parts, axis=0)
-    else:
-        x_nl = np.concatenate([b.nonlinear() for b in batches], axis=0)
-        x_lin = np.concatenate([b.linear() for b in batches], axis=0)
-    return ExampleArrays(multiclass=mc, x_nl=x_nl, x_lin=x_lin,
-                         labels=labels.astype(int), batch_ids=ids,
-                         n_classes=batches[0].n_classes)
+        features = slot_rows(features, b0)
+    return ExampleArrays.from_rows(mc, features, b0.d_nonlinear, labels.astype(int),
+                                   ids, b0.n_classes)
 
 
 def config_for_batches(batches, hidden_sizes=(64, 64), activation="tanh"):
@@ -284,14 +306,48 @@ def _clamped_log(p):
     return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
+def _whole_runs(data):
+    """(run of each example, label-0 example of each run), or None.
+
+    Defined when every batch id holds exactly K examples with labels
+    0..K-1, i.e. the data is made of whole mapped runs.
+    """
+    if data.batch_ids is None or data.labels.size == 0:
+        return None
+    K = data.n_classes
+    if data.labels.min() < 0 or data.labels.max() >= K:
+        return None
+    uniq, run = np.unique(data.batch_ids, return_inverse=True)
+    if data.labels.size != uniq.size * K:
+        return None
+    example = np.full((uniq.size, K), -1)
+    example[run, data.labels] = np.arange(data.labels.size)
+    if np.any(example < 0):
+        return None
+    return run, example[:, 0]
+
+
 def class_log_probs(model, data):
-    """(N, K) clamped log predicted probability of every class for every example."""
-    if data.multiclass:
-        probs = forward_multiclass(model, data.x_nl, data.x_lin)
-    else:
+    """(N, K) clamped log predicted probability of every class for every example.
+
+    Multiclass data made of whole runs is scored once per run: the label-0
+    example of a run holds its K occupants in order, and every example's
+    slot scores are those K scores in its cyclic-insertion order.  Other
+    multiclass data is scored example by example.
+    """
+    if not data.multiclass:
         p1 = expit(model.score(data.x_nl, data.x_lin))
-        probs = np.column_stack([1.0 - p1, p1])
-    return _clamped_log(probs)
+        return _clamped_log(np.column_stack([1.0 - p1, p1]))
+    runs = _whole_runs(data)
+    if runs is None:
+        return _clamped_log(forward_multiclass(model, data.x_nl, data.x_lin))
+    run, first = runs
+    _, K, d = data.x_nl.shape
+    R, p = first.size, data.x_lin.shape[-1]
+    occupant_scores = model.score(data.x_nl[first].reshape(R * K, d),
+                                  data.x_lin[first].reshape(R * K, p)).reshape(R, K)
+    slot_occupant = _cyclic_insertion(K)[data.labels]
+    return _clamped_log(_softmax(occupant_scores[run[:, None], slot_occupant]))
 
 
 def loss(model, batch_set, weight_scheme=UNWEIGHTED):
@@ -303,30 +359,32 @@ def loss(model, batch_set, weight_scheme=UNWEIGHTED):
 
 
 def gradient(model, batch_set, weight_scheme=UNWEIGHTED):
-    """Exact gradient of loss() w.r.t. the flat parameter vector."""
+    """Exact gradient of loss() w.r.t. the flat parameter vector.
+
+    Multiclass examples are scored slot by slot here, as minibatches need
+    not hold whole runs.
+    """
     data = arrays_from_batches(batch_set)
     w = example_weights(data.labels, weight_scheme)
     n = len(data.labels)
+    x_nl, x_lin = data.x_nl, data.x_lin
     if data.multiclass:
-        N, K, d = data.x_nl.shape
-        x_nl = data.x_nl.reshape(N * K, d)
-        x_lin = data.x_lin.reshape(N * K, -1)
-        scores = model.score(x_nl, x_lin).reshape(N, K)
-        probs = _softmax(scores)
-        dscore = probs.copy()
+        N, K, d = x_nl.shape
+        x_nl = x_nl.reshape(N * K, d)
+        x_lin = x_lin.reshape(N * K, x_lin.shape[-1])
+    scores, cache = model.score(x_nl, x_lin, keep_cache=True)
+    if data.multiclass:
+        dscore = _softmax(scores.reshape(N, K))
         dscore[np.arange(N), data.labels] -= 1.0
         dscore *= (w / n)[:, None]
         dout = dscore.reshape(N * K)
     else:
-        x_nl, x_lin = data.x_nl, data.x_lin
-        p1 = expit(model.score(x_nl, x_lin))
-        dout = w * (p1 - data.labels) / n
-    return _backprop(model, x_nl, x_lin, dout)
+        dout = w * (expit(scores) - data.labels) / n
+    return _backprop(model, cache, x_lin, dout)
 
 
-def _backprop(model, x_nl, x_lin, dout):
-    X = (x_nl - model.x_mean) / model.x_scale
-    _, cache = model._mlp_forward(X, keep_cache=True)
+def _backprop(model, cache, x_lin, dout):
+    """Flat gradient from d(loss)/d(score) and the forward pass's cache."""
     gw = [None] * len(model.weights)
     gb = [None] * len(model.biases)
     gw[-1] = cache[-1].T @ dout[:, None]
@@ -342,7 +400,9 @@ def _backprop(model, x_nl, x_lin, dout):
         gb[i] = dz.sum(axis=0)
         if i > 0:
             da = dz @ model.weights[i].T
-    g_lin = x_lin.T @ dout
+    # a contiguous copy: x_lin.T @ dout on a column view of the row block
+    # reduces in another order and changes the last bits
+    g_lin = np.ascontiguousarray(x_lin).T @ dout
     return np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb]
                           + [g_lin.ravel()])
 
@@ -370,19 +430,15 @@ def predict_log_prob(model, example):
 
 # ---- training ---------------------------------------------------------------
 
-def _minibatch_view(data, idx):
-    return ExampleArrays(multiclass=data.multiclass,
-                         x_nl=data.x_nl[idx], x_lin=data.x_lin[idx],
-                         labels=data.labels[idx], batch_ids=data.batch_ids[idx],
-                         n_classes=data.n_classes)
-
-
 def train(train_batches, config, settings):
     """Minibatch training with adaptive moments and early stopping.
 
     A fraction of the training *batches* (val_fraction, floor rule) is held
     out for early stopping; the returned model carries the parameters with
     the best held-out loss, or the final parameters when no hold-out exists.
+    A non-finite parameter update (from a non-finite gradient or an
+    overflowing step) or epoch loss raises TrainingDivergedError; an update
+    is checked before it reaches the parameters.
     """
     if not train_batches:
         raise InvalidParameterError("empty training set")
@@ -405,40 +461,61 @@ def train(train_batches, config, settings):
         scale[scale == 0.0] = 1.0
         model.set_standardizer(mean, scale)
 
-    params = model.get_params()
+    # Adam, in place on the live parameter buffer; each line keeps the
+    # operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # params -= lr*mhat / (sqrt(vhat) + eps)
+    params = model.params
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    step_size = np.empty_like(params)
+    denom = np.empty_like(params)
+    b1, b2 = settings.beta1, settings.beta2
     step = 0
-    best = (np.inf, params.copy())
+    best_loss, best_params = np.inf, None
     stale = 0
     n = len(fit_data.labels)
     bs = max(1, min(settings.minibatch_size, n))
     scheme = settings.weight_scheme
+    d = fit_data.x_nl.shape[-1]
     for epoch in range(settings.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, bs):
             idx = perm[start:start + bs]
-            g = gradient(model, _minibatch_view(fit_data, idx), scheme)
+            minibatch = ExampleArrays.from_rows(fit_data.multiclass, fit_data.rows[idx], d,
+                                                fit_data.labels[idx], None,
+                                                fit_data.n_classes)
+            g = gradient(model, minibatch, scheme)
             step += 1
-            m = settings.beta1 * m + (1 - settings.beta1) * g
-            v = settings.beta2 * v + (1 - settings.beta2) * g * g
-            mhat = m / (1 - settings.beta1 ** step)
-            vhat = v / (1 - settings.beta2 ** step)
-            params = params - settings.learning_rate * mhat / (np.sqrt(vhat) + settings.adam_eps)
-            model.set_params(params)
+            np.multiply(g, 1 - b2, out=denom)
+            denom *= g
+            v *= b2
+            v += denom
+            g *= 1 - b1
+            m *= b1
+            m += g
+            np.divide(m, 1 - b1 ** step, out=step_size)
+            step_size *= settings.learning_rate
+            np.divide(v, 1 - b2 ** step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += settings.adam_eps
+            step_size /= denom
+            # non-finite whenever g is, and when lr*mhat overflows
+            if not np.all(np.isfinite(step_size)):
+                raise TrainingDivergedError(epoch)
+            params -= step_size
         check = loss(model, hold_data if hold_data is not None else fit_data, scheme)
         if not np.isfinite(check):
             raise TrainingDivergedError(epoch)
         if hold_data is not None:
-            if check < best[0] - 1e-12:
-                best = (check, params.copy())
+            if check < best_loss - 1e-12:
+                best_loss, best_params = check, model.get_params()
                 stale = 0
             else:
                 stale += 1
                 if stale > settings.patience:
                     break
-    if hold_data is not None and np.isfinite(best[0]):
-        model.set_params(best[1])
+    if best_params is not None:
+        model.set_params(best_params)
     return model
 
 

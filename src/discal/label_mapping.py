@@ -118,15 +118,23 @@ class Batch:
         """Per-slot arrays for multiclass: (L, K, d_nonlinear), (L, K, n_linear)."""
         if self.kind is not MappingKind.MULTICLASS:
             raise ConfigurationError("slot_views() requires a multiclass batch")
-        L = self.n_examples
-        K = self.n_classes
-        ds = self.d_theta_sel
-        dy = self.d_y
-        theta_part = self.features[:, : K * ds].reshape(L, K, ds)
-        y_part = self.features[:, K * ds: K * ds + dy]
-        nl = np.concatenate([theta_part, np.repeat(y_part[:, None, :], K, axis=1)], axis=2)
-        lin = self.features[:, K * ds + dy:].reshape(L, K, self.n_linear)
-        return nl, lin
+        rows = slot_rows(self.features, self)
+        return rows[..., :self.d_nonlinear], rows[..., self.d_nonlinear:]
+
+
+def slot_rows(features, layout):
+    """(L, K, d_nonlinear + n_linear) per-slot rows of L multiclass feature rows.
+
+    `features` holds rows in the flat layout of the multiclass Batch
+    `layout`, e.g. the rows of several such batches stacked.
+    """
+    L, K = features.shape[0], layout.n_classes
+    ds, dy, p = layout.d_theta_sel, layout.d_y, layout.n_linear
+    rows = np.empty((L, K, ds + dy + p))
+    rows[:, :, :ds] = features[:, :K * ds].reshape(L, K, ds)
+    rows[:, :, ds:ds + dy] = features[:, None, K * ds:K * ds + dy]
+    rows[:, :, ds + dy:] = features[:, K * ds + dy:].reshape(L, K, p)
+    return rows
 
 
 def _selected(d_theta, cfg):
@@ -163,13 +171,28 @@ def _jittered_ranks_all(values, seed):
 
     Run i adds one uniform(0, JITTER_SCALE, (n, K)) draw from the i-th
     substream of SeedSequence(seed).spawn(S), so a run's ranks depend only
-    on its own values, its position and the seed.
+    on its own values, its position and the seed.  A jitter cannot reorder
+    two values more than 2*JITTER_SCALE plus a few ulps apart, so only runs
+    with a closer pair (or a NaN) draw it; the other runs' ranks are their
+    unjittered ones, which are the same.
     """
-    S, n, K = values.shape
-    jitter = np.empty((S, n, K))
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(S)):
-        jitter[i] = np.random.default_rng(ss).uniform(0.0, JITTER_SCALE, (n, K))
-    return _ranks_all(values + jitter)
+    ranks = _ranks_all(values)
+    v = np.sort(values, axis=-1)
+    slack = 2 * JITTER_SCALE + 4 * np.spacing(np.abs(v).max(axis=-1, keepdims=True))
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which counts as close
+        gaps = np.diff(v, axis=-1)
+    close = np.flatnonzero(~np.all(gaps > slack, axis=(1, 2)))
+    if close.size:
+        root = np.random.SeedSequence(seed)
+        jitter = np.empty((close.size,) + values.shape[1:])
+        for j, i in enumerate(close):
+            # the i-th child of root.spawn(S), built directly
+            child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (int(i),),
+                                           pool_size=root.pool_size)
+            jitter[j] = np.random.default_rng(child).uniform(0.0, JITTER_SCALE,
+                                                             values.shape[1:])
+        ranks[close] = _ranks_all(values[close] + jitter)
+    return ranks
 
 
 def _cyclic_insertion(K):

@@ -208,3 +208,310 @@ def test_probability_clamping_keeps_loss_finite():
                              x_lin=data.x_lin, labels=data.labels,
                              batch_ids=data.batch_ids, n_classes=2)
     assert np.isfinite(clf.loss(model, data))
+
+
+# ---- frozen reference: the training loop before the in-place rewrite --------
+# Parameters as separate arrays, two forward passes per gradient,
+# out-of-place Adam, and multiclass examples scored one slot row at a time.
+
+class ReferenceModel:
+    def __init__(self, config, seed):
+        self.config = config
+        rng = np.random.default_rng(seed)
+        dims = [config.input_dim] + list(config.hidden_sizes) + [1]
+        self.weights, self.biases = [], []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / np.sqrt(max(fan_in, 1))
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            self.biases.append(np.zeros(fan_out))
+        nlin = config.n_linear_features
+        bound = 1.0 / np.sqrt(max(nlin, 1))
+        self.w_linear = rng.uniform(-bound, bound, size=nlin)
+        self.x_mean = np.zeros(config.input_dim)
+        self.x_scale = np.ones(config.input_dim)
+
+    def param_arrays(self):
+        return self.weights + self.biases + [self.w_linear]
+
+    def get_params(self):
+        return np.concatenate([a.ravel() for a in self.param_arrays()])
+
+    def set_params(self, flat):
+        offset = 0
+        for arr in self.param_arrays():
+            arr[...] = flat[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+
+    def mlp_forward(self, X):
+        cache = [X]
+        h = X
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            z = h @ W + b
+            h = np.tanh(z) if self.config.activation == "tanh" else np.maximum(z, 0.0)
+            cache.append(h)
+        return (h @ self.weights[-1] + self.biases[-1]).ravel(), cache
+
+    def score(self, x_nl, x_lin):
+        return self.mlp_forward((x_nl - self.x_mean) / self.x_scale)[0] + x_lin @ self.w_linear
+
+
+def reference_slot_views(b):
+    L, K, ds, dy = b.n_examples, b.n_classes, b.d_theta_sel, b.d_y
+    theta_part = b.features[:, :K * ds].reshape(L, K, ds)
+    y_part = b.features[:, K * ds:K * ds + dy]
+    nl = np.concatenate([theta_part, np.repeat(y_part[:, None, :], K, axis=1)], axis=2)
+    return nl, b.features[:, K * ds + dy:].reshape(L, K, b.n_linear)
+
+
+def reference_arrays(batches):
+    mc = batches[0].kind is lm.MappingKind.MULTICLASS
+    if mc:
+        nl, lin = zip(*(reference_slot_views(b) for b in batches))
+    else:
+        nl = [b.nonlinear() for b in batches]
+        lin = [b.linear() for b in batches]
+    return (mc, np.concatenate(nl), np.concatenate(lin),
+            np.concatenate([b.labels for b in batches]).astype(int))
+
+
+def reference_softmax(scores):
+    z = scores - scores.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=-1, keepdims=True)
+
+
+def reference_class_log_probs(model, mc, x_nl, x_lin):
+    if mc:
+        N, K, d = x_nl.shape
+        probs = reference_softmax(model.score(x_nl.reshape(N * K, d),
+                                              x_lin.reshape(N * K, -1)).reshape(N, K))
+    else:
+        p1 = expit(model.score(x_nl, x_lin))
+        probs = np.column_stack([1.0 - p1, p1])
+    return np.log(np.clip(probs, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP))
+
+
+def reference_loss(model, arrays, scheme):
+    mc, x_nl, x_lin, labels = arrays
+    w = clf.example_weights(labels, scheme)
+    logp = reference_class_log_probs(model, mc, x_nl, x_lin)
+    return float(-np.mean(w * logp[np.arange(len(labels)), labels]))
+
+
+def reference_gradient(model, arrays, scheme):
+    mc, x_nl, x_lin, labels = arrays
+    w = clf.example_weights(labels, scheme)
+    n = len(labels)
+    if mc:
+        N, K, d = x_nl.shape
+        x_nl = x_nl.reshape(N * K, d)
+        x_lin = x_lin.reshape(N * K, -1)
+        dscore = reference_softmax(model.score(x_nl, x_lin).reshape(N, K)).copy()
+        dscore[np.arange(N), labels] -= 1.0
+        dscore *= (w / n)[:, None]
+        dout = dscore.reshape(N * K)
+    else:
+        dout = w * (expit(model.score(x_nl, x_lin)) - labels) / n
+    _, cache = model.mlp_forward((x_nl - model.x_mean) / model.x_scale)
+    gw = [None] * len(model.weights)
+    gb = [None] * len(model.biases)
+    gw[-1] = cache[-1].T @ dout[:, None]
+    gb[-1] = np.array([dout.sum()])
+    da = np.outer(dout, model.weights[-1].ravel())
+    for i in range(len(model.weights) - 2, -1, -1):
+        a = cache[i + 1]
+        dz = da * (1.0 - a * a) if model.config.activation == "tanh" else da * (a > 0)
+        gw[i] = cache[i].T @ dz
+        gb[i] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ model.weights[i].T
+    return np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb]
+                          + [(x_lin.T @ dout).ravel()])
+
+
+def reference_train(batches, config, settings):
+    rng = np.random.default_rng(settings.seed)
+    n_hold = int(len(batches) * settings.val_fraction)
+    order = rng.permutation(len(batches))
+    hold = [batches[i] for i in order[:n_hold]]
+    fit = [batches[i] for i in order[n_hold:]]
+    if not fit:
+        fit, hold = hold, []
+    fit_data = reference_arrays(fit)
+    hold_data = reference_arrays(hold) if hold else None
+    model = ReferenceModel(config, seed=rng.integers(2**31))
+    if settings.standardize and config.input_dim > 0:
+        flat = fit_data[1].reshape(-1, config.input_dim)
+        scale = flat.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        model.x_mean, model.x_scale = flat.mean(axis=0), scale
+    params = model.get_params()
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    step, stale = 0, 0
+    best = (np.inf, params.copy())
+    mc, x_nl, x_lin, labels = fit_data
+    n = len(labels)
+    bs = max(1, min(settings.minibatch_size, n))
+    for epoch in range(settings.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, bs):
+            idx = perm[start:start + bs]
+            g = reference_gradient(model, (mc, x_nl[idx], x_lin[idx], labels[idx]),
+                                   settings.weight_scheme)
+            step += 1
+            m = settings.beta1 * m + (1 - settings.beta1) * g
+            v = settings.beta2 * v + (1 - settings.beta2) * g * g
+            mhat = m / (1 - settings.beta1 ** step)
+            vhat = v / (1 - settings.beta2 ** step)
+            params = params - settings.learning_rate * mhat / (np.sqrt(vhat) + settings.adam_eps)
+            model.set_params(params)
+        check = reference_loss(model, hold_data or fit_data, settings.weight_scheme)
+        assert np.isfinite(check)
+        if hold_data is not None:
+            if check < best[0] - 1e-12:
+                best = (check, params.copy())
+                stale = 0
+            else:
+                stale += 1
+                if stale > settings.patience:
+                    break
+    if hold_data is not None:
+        model.set_params(best[1])
+    return model
+
+
+TRAIN_CASES = {
+    "binary-weighted-tanh-holdout": (lm.MappingKind.BINARY_FULL, ("log_p", "log_q"),
+                                     "tanh", True, 0.25),
+    "binary-unweighted-relu-holdout": (lm.MappingKind.BINARY_FULL, ("log_p", "log_q"),
+                                       "relu", False, 0.25),
+    "binary-weighted-relu-no-holdout": (lm.MappingKind.BINARY_FULL, ("log_p",),
+                                        "relu", True, 0.0),
+    "binary-no-linear-tanh-holdout": (lm.MappingKind.BINARY_FULL, (), "tanh", False, 0.25),
+    "binary-no-linear-relu-no-holdout": (lm.MappingKind.BINARY_FULL, (), "relu", True, 0.0),
+    "multiclass-tanh-holdout": (lm.MappingKind.MULTICLASS, ("log_p", "log_q"),
+                                "tanh", False, 0.4),
+    "multiclass-relu-no-holdout": (lm.MappingKind.MULTICLASS, ("log_q",), "relu", False, 0.0),
+    "multiclass-no-linear-tanh-holdout": (lm.MappingKind.MULTICLASS, (), "tanh", False, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_matches_frozen_reference(case, seed):
+    kind, features, activation, weighted, val_fraction = TRAIN_CASES[case]
+    M = 4
+    batches = make_batches(kind, d=2, S=24, M=M, bias=0.8, seed=seed, features=features)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(6, 3), activation=activation)
+    settings = clf.TrainSettings(learning_rate=0.05, epochs=12, minibatch_size=13,
+                                 patience=2, seed=seed, val_fraction=val_fraction,
+                                 weight_scheme=clf.balanced_binary(M) if weighted
+                                 else clf.UNWEIGHTED)
+    model = clf.train(batches, cfg, settings)
+    ref = reference_train(batches, cfg, settings)
+    np.testing.assert_array_equal(model.get_params(), ref.get_params())
+    np.testing.assert_array_equal(model.x_mean, ref.x_mean)
+    np.testing.assert_array_equal(model.x_scale, ref.x_scale)
+
+
+def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
+    from discal import diagnostics as dg
+    batches = make_batches(lm.MappingKind.MULTICLASS, d=2, S=12, M=5, bias=0.5, seed=3)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(5,))
+    model = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=2, learning_rate=0.05))
+    data = clf.arrays_from_batches(batches)
+    assert clf._whole_runs(data) is not None        # the per-run path is taken
+    ref_arrays = reference_arrays(batches)
+    ref = ReferenceModel(cfg, seed=0)
+    ref.set_params(model.get_params())
+    ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
+    expected = reference_class_log_probs(ref, True, ref_arrays[1], ref_arrays[2])
+    np.testing.assert_allclose(clf.class_log_probs(model, data), expected, rtol=0, atol=1e-12)
+    # data that is not made of whole runs is scored per example
+    part = clf.ExampleArrays(True, data.x_nl[1:], data.x_lin[1:], data.labels[1:],
+                             data.batch_ids[1:], data.n_classes)
+    assert clf._whole_runs(part) is None
+    np.testing.assert_allclose(clf.class_log_probs(model, part), expected[1:],
+                               rtol=0, atol=1e-12)
+
+    lpd, scores = dg.lpd_val(model, data)
+    test = dg.permutation_test(model, data, B=50, seed=4)
+    monkeypatch.setattr(clf, "class_log_probs", lambda model, d: expected)
+    ref_lpd, ref_scores = dg.lpd_val(model, data)
+    ref_test = dg.permutation_test(model, data, B=50, seed=4)
+    assert abs(lpd - ref_lpd) < 1e-12
+    np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
+    assert abs(test.lpd_observed - ref_test.lpd_observed) < 1e-12
+    np.testing.assert_allclose(test.lpd_permuted, ref_test.lpd_permuted, rtol=0, atol=1e-12)
+    assert test.p_value == ref_test.p_value
+
+
+def test_get_params_returns_a_copy_of_the_live_buffer():
+    cfg = clf.ModelConfig(architecture=clf.ARCH_BINARY, input_dim=3,
+                          hidden_sizes=(4, 2), n_linear_features=2)
+    model = clf.Model(cfg, seed=1)
+    before = model.get_params()
+    out = model.get_params()
+    out[:] = 7.0
+    np.testing.assert_array_equal(model.get_params(), before)
+    # the weight arrays are views of the flat buffer set_params writes
+    model.set_params(np.arange(before.size, dtype=float))
+    np.testing.assert_array_equal(model.weights[0].ravel(), np.arange(12.0))
+    np.testing.assert_array_equal(model.w_linear, [before.size - 2.0, before.size - 1.0])
+    assert all(np.shares_memory(a, model.params) for a in model.param_arrays())
+
+
+def test_early_stopping_restores_recorded_best_params(monkeypatch):
+    batches = make_batches(lm.MappingKind.BINARY_FULL, S=30, bias=0.5, seed=2)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(8,))
+    settings = clf.TrainSettings(learning_rate=0.3, epochs=40, minibatch_size=8,
+                                 patience=2, seed=5, val_fraction=0.3)
+    record = []
+    real_loss = clf.loss
+
+    def recording_loss(model, data, scheme=clf.UNWEIGHTED):
+        value = real_loss(model, data, scheme)
+        record.append((value, model.get_params()))
+        return value
+
+    monkeypatch.setattr(clf, "loss", recording_loss)
+    model = clf.train(batches, cfg, settings)
+    best = 0
+    for i, (value, _) in enumerate(record):
+        if value < record[best][0] - 1e-12:
+            best = i
+    # a later epoch was worse, so the live buffer moved past the best one
+    assert best < len(record) - 1
+    assert not np.array_equal(record[-1][1], record[best][1])
+    np.testing.assert_array_equal(model.get_params(), record[best][1])
+
+
+def test_training_divergence_mid_epoch_raises(monkeypatch):
+    # Adam's first step moves every weight by about the learning rate; at
+    # 1e200 the second gradient is ~1e200, and lr * mhat overflows
+    batches = make_batches(lm.MappingKind.BINARY_FULL, S=12, seed=1)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(8,), activation="relu")
+    settings = clf.TrainSettings(learning_rate=1e200, epochs=3, minibatch_size=4,
+                                 seed=0, val_fraction=0.0)
+    seen = []
+    real_gradient = clf.gradient
+
+    def recording_gradient(model, data, scheme=clf.UNWEIGHTED):
+        seen.append(model.get_params())
+        return real_gradient(model, data, scheme)
+
+    monkeypatch.setattr(clf, "gradient", recording_gradient)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(clf.TrainingDivergedError) as info:
+            clf.train(batches, cfg, settings)
+    assert info.value.epoch == 0
+    steps_per_epoch = -(-12 * 4 // settings.minibatch_size)
+    # raised before the epoch ended, and no step left non-finite parameters
+    assert 1 < len(seen) < steps_per_epoch
+    assert all(np.all(np.isfinite(p)) for p in seen)
+    # a non-finite gradient raises as well
+    monkeypatch.setattr(clf, "gradient", lambda model, data, scheme: np.full(
+        model.params.size, np.nan))
+    with pytest.raises(clf.TrainingDivergedError):
+        clf.train(batches, cfg, clf.TrainSettings(epochs=1, seed=0))

@@ -352,3 +352,26 @@ def test_batched_mapper_error_types_match_reference():
         assert ref is lm.ConfigurationError
         _assert_same_batches(_outcome(lambda: lm.map_table(table, kind, cfg, 0)), ref)
         _assert_same_batches(_outcome(lambda: [lm.map_run(table.runs[0], kind, cfg)]), ref)
+
+
+def test_jitter_drawn_only_where_it_can_matter():
+    # runs whose sorted gaps all exceed 2*JITTER_SCALE plus rounding skip the
+    # jitter draw; their ranks must equal those of the every-run jitter rule
+    rng = np.random.default_rng(4)
+    J = lm.JITTER_SCALE
+    near = rng.permuted(np.cumsum(rng.uniform(0.0, 5 * J, (60, 2, 6)), axis=-1), axis=-1)
+    tables = [
+        rng.standard_normal((40, 3, 9)),
+        np.round(rng.standard_normal((40, 2, 7)), 1),            # exact ties
+        near,                                                      # gaps around 2J
+        1e6 + near,                                                # jitter below an ulp
+        rng.standard_normal((20, 1, 5)) * 1e300,
+        np.where(rng.random((30, 2, 6)) < 0.05, np.nan, rng.standard_normal((30, 2, 6))),
+        np.where(rng.random((30, 2, 6)) < 0.05, np.inf, rng.standard_normal((30, 2, 6))),
+    ]
+    for vals in tables:
+        for seed in (0, 9):
+            children = np.random.SeedSequence(seed).spawn(vals.shape[0])
+            ref = [lm._ranks_all(v + np.random.default_rng(ss).uniform(0.0, J, v.shape))
+                   for v, ss in zip(vals, children)]
+            np.testing.assert_array_equal(lm._jittered_ranks_all(vals, seed), ref)
