@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .label_mapping import MappingKind, _cyclic_insertion, slot_rows
+from .label_mapping import MappingKind, _cyclic_insertion
 from .sim_model import InvalidParameterError
 
 PROB_CLAMP = 1e-12
@@ -251,28 +251,56 @@ def forward_multiclass(model, slots_nl, slots_lin=None):
 
 @dataclass
 class ExampleArrays:
-    """Assembled examples: N binary examples, or N multiclass examples of K slots.
+    """Examples over the occupant rows of R mapped runs, K rows per run.
 
-    `rows` is one (N, F) block (binary) or (N, K, F) block (multiclass),
-    F = d + p, and x_nl and x_lin are its column views.  The K
-    multiclass examples of one run are the cyclic insertions of its
-    occupants: label k puts theta in slot k and the draws keep their order
-    (label_mapping._cyclic_insertion).  Training minibatches carry no
-    batch ids.
+    `rows` is (R, K, F), F = d + p: each run's occupant rows
+    [occupant | y | linear] with theta in row 0, run-major.  x_nl and x_lin
+    are the (R*K, d) and (R*K, p) column views of its flattened rows.
+    `index` holds each example's flat position run*K + k, or is None when
+    the examples are all R*K positions in order.  A binary example is the
+    row at its position.  A multiclass example at position run*K + k has
+    label k: run `run` with theta in slot k, the draws in order around it
+    (label_mapping._cyclic_insertion).  Full data, a hold-out set, a
+    partial run and a training minibatch are all subsets over shared rows.
     """
 
     multiclass: bool
-    x_nl: np.ndarray      # (N, d) or (N, K, d)
-    x_lin: np.ndarray     # (N, p) or (N, K, p)
-    labels: np.ndarray
+    rows: np.ndarray      # (R, K, F)
+    d: int
+    labels: np.ndarray    # (N,)
     batch_ids: np.ndarray | None
     n_classes: int
-    rows: np.ndarray | None = None
+    index: np.ndarray | None = None
+    x_nl: np.ndarray = field(init=False, repr=False)
+    x_lin: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def from_rows(cls, multiclass, rows, d, labels, batch_ids, n_classes):
-        return cls(multiclass=multiclass, x_nl=rows[..., :d], x_lin=rows[..., d:],
-                   labels=labels, batch_ids=batch_ids, n_classes=n_classes, rows=rows)
+    def __post_init__(self):
+        flat = self.rows.reshape(-1, self.rows.shape[-1])
+        self.x_nl, self.x_lin = flat[:, :self.d], flat[:, self.d:]
+
+    def take(self, idx):
+        """The examples at positions idx, over the same rows."""
+        return ExampleArrays(self.multiclass, self.rows, self.d, self.labels[idx],
+                             None if self.batch_ids is None else self.batch_ids[idx],
+                             self.n_classes, idx if self.index is None else self.index[idx])
+
+    def scored_rows(self):
+        """(x_nl, x_lin, run): the rows one scoring pass needs.
+
+        Binary: each example's own row, in example order, and run None.
+        Multiclass: the K rows of each distinct run, and the position of
+        each example's run among those runs.
+        """
+        K = self.rows.shape[1]
+        if self.index is None:
+            run = np.arange(self.labels.size) // K if self.multiclass else None
+            return self.x_nl, self.x_lin, run
+        if self.multiclass:
+            runs, run = np.unique(self.index // K, return_inverse=True)
+            block = self.rows[runs].reshape(runs.size * K, -1)
+        else:
+            block, run = self.rows.reshape(-1, self.rows.shape[-1])[self.index], None
+        return block[:, :self.d], block[:, self.d:], run
 
 
 def arrays_from_batches(batches):
@@ -281,14 +309,11 @@ def arrays_from_batches(batches):
     if isinstance(batches, ExampleArrays):
         return batches
     b0 = batches[0]
-    mc = b0.kind is MappingKind.MULTICLASS
-    labels = np.concatenate([b.labels for b in batches])
-    ids = np.concatenate([np.full(b.n_examples, b.batch_id) for b in batches])
-    features = np.concatenate([b.features for b in batches])
-    if mc:
-        features = slot_rows(features, b0)
-    return ExampleArrays.from_rows(mc, features, b0.d_nonlinear, labels.astype(int),
-                                   ids, b0.n_classes)
+    rows = np.stack([b.features for b in batches])
+    labels = np.concatenate([b.labels for b in batches]).astype(int)
+    ids = np.repeat([b.batch_id for b in batches], b0.n_examples)
+    return ExampleArrays(b0.kind is MappingKind.MULTICLASS, rows, b0.d_nonlinear,
+                         labels, ids, b0.n_classes)
 
 
 def config_for_batches(batches, hidden_sizes=(64, 64), activation="tanh"):
@@ -306,46 +331,18 @@ def _clamped_log(p):
     return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
-def _whole_runs(data):
-    """(run of each example, label-0 example of each run), or None.
-
-    Defined when every batch id holds exactly K examples with labels
-    0..K-1, i.e. the data is made of whole mapped runs.
-    """
-    if data.batch_ids is None or data.labels.size == 0:
-        return None
-    K = data.n_classes
-    if data.labels.min() < 0 or data.labels.max() >= K:
-        return None
-    uniq, run = np.unique(data.batch_ids, return_inverse=True)
-    if data.labels.size != uniq.size * K:
-        return None
-    example = np.full((uniq.size, K), -1)
-    example[run, data.labels] = np.arange(data.labels.size)
-    if np.any(example < 0):
-        return None
-    return run, example[:, 0]
-
-
 def class_log_probs(model, data):
     """(N, K) clamped log predicted probability of every class for every example.
 
-    Multiclass data made of whole runs is scored once per run: the label-0
-    example of a run holds its K occupants in order, and every example's
-    slot scores are those K scores in its cyclic-insertion order.  Other
-    multiclass data is scored example by example.
+    Multiclass data is scored once per run: every example's slot scores
+    are its run's K occupant scores in its cyclic-insertion order.
     """
+    x_nl, x_lin, run = data.scored_rows()
     if not data.multiclass:
-        p1 = expit(model.score(data.x_nl, data.x_lin))
+        p1 = expit(model.score(x_nl, x_lin))
         return _clamped_log(np.column_stack([1.0 - p1, p1]))
-    runs = _whole_runs(data)
-    if runs is None:
-        return _clamped_log(forward_multiclass(model, data.x_nl, data.x_lin))
-    run, first = runs
-    _, K, d = data.x_nl.shape
-    R, p = first.size, data.x_lin.shape[-1]
-    occupant_scores = model.score(data.x_nl[first].reshape(R * K, d),
-                                  data.x_lin[first].reshape(R * K, p)).reshape(R, K)
+    K = data.n_classes
+    occupant_scores = model.score(x_nl, x_lin).reshape(-1, K)
     slot_occupant = _cyclic_insertion(K)[data.labels]
     return _clamped_log(_softmax(occupant_scores[run[:, None], slot_occupant]))
 
@@ -361,23 +358,21 @@ def loss(model, batch_set, weight_scheme=UNWEIGHTED):
 def gradient(model, batch_set, weight_scheme=UNWEIGHTED):
     """Exact gradient of loss() w.r.t. the flat parameter vector.
 
-    Multiclass examples are scored slot by slot here, as minibatches need
-    not hold whole runs.
+    Every multiclass example of a run has the loss -log_softmax(s_run)[0],
+    s_run its run's K occupant scores, so each distinct run is scored once
+    and its scores get (softmax(s_run) - e_0) * (sum of its examples'
+    weights) / n.
     """
     data = arrays_from_batches(batch_set)
     w = example_weights(data.labels, weight_scheme)
     n = len(data.labels)
-    x_nl, x_lin = data.x_nl, data.x_lin
-    if data.multiclass:
-        N, K, d = x_nl.shape
-        x_nl = x_nl.reshape(N * K, d)
-        x_lin = x_lin.reshape(N * K, x_lin.shape[-1])
+    x_nl, x_lin, run = data.scored_rows()
     scores, cache = model.score(x_nl, x_lin, keep_cache=True)
     if data.multiclass:
-        dscore = _softmax(scores.reshape(N, K))
-        dscore[np.arange(N), data.labels] -= 1.0
-        dscore *= (w / n)[:, None]
-        dout = dscore.reshape(N * K)
+        dscore = _softmax(scores.reshape(-1, data.n_classes))
+        dscore[:, 0] -= 1.0
+        dscore *= (np.bincount(run, weights=w, minlength=dscore.shape[0]) / n)[:, None]
+        dout = dscore.reshape(-1)
     else:
         dout = w * (expit(scores) - data.labels) / n
     return _backprop(model, cache, x_lin, dout)
@@ -407,27 +402,6 @@ def _backprop(model, cache, x_lin, dout):
                           + [g_lin.ravel()])
 
 
-def predict_log_prob(model, example):
-    """Log predicted probability of one mapped example's true label."""
-    phi = np.asarray(example.feature, dtype=float)
-    if model.config.architecture == ARCH_BINARY:
-        p1 = forward_binary(model, phi)
-        p_true = p1 if example.label == 1 else 1.0 - p1
-        return float(_clamped_log(np.asarray(p_true)))
-    K = model.config.class_count
-    p = model.config.n_linear_features
-    dslot = model.config.input_dim
-    # layout: K*ds theta block, dy shared y block, K*p linear block
-    ds = (phi.size - K * p - dslot) // (K - 1)
-    dy = dslot - ds
-    theta_block = phi[: K * ds].reshape(K, ds)
-    y = phi[K * ds: K * ds + dy]
-    lin = phi[K * ds + dy:].reshape(K, p)
-    slots = np.hstack([theta_block, np.repeat(y[None, :], K, axis=0)])
-    probs = forward_multiclass(model, slots, lin)
-    return float(_clamped_log(np.asarray(probs[example.label])))
-
-
 # ---- training ---------------------------------------------------------------
 
 def train(train_batches, config, settings):
@@ -437,8 +411,9 @@ def train(train_batches, config, settings):
     out for early stopping; the returned model carries the parameters with
     the best held-out loss, or the final parameters when no hold-out exists.
     A non-finite parameter update (from a non-finite gradient or an
-    overflowing step) or epoch loss raises TrainingDivergedError; an update
-    is checked before it reaches the parameters.
+    overflowing step), a non-finite second moment or a non-finite epoch
+    loss raises TrainingDivergedError; an update is checked before it
+    reaches the parameters.
     """
     if not train_batches:
         raise InvalidParameterError("empty training set")
@@ -455,9 +430,8 @@ def train(train_batches, config, settings):
 
     model = Model(config, seed=rng.integers(2**31))
     if settings.standardize and config.input_dim > 0:
-        flat = fit_data.x_nl.reshape(-1, config.input_dim)
-        mean = flat.mean(axis=0)
-        scale = flat.std(axis=0)
+        mean = fit_data.x_nl.mean(axis=0)
+        scale = fit_data.x_nl.std(axis=0)
         scale[scale == 0.0] = 1.0
         model.set_standardizer(mean, scale)
 
@@ -476,14 +450,10 @@ def train(train_batches, config, settings):
     n = len(fit_data.labels)
     bs = max(1, min(settings.minibatch_size, n))
     scheme = settings.weight_scheme
-    d = fit_data.x_nl.shape[-1]
     for epoch in range(settings.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, bs):
-            idx = perm[start:start + bs]
-            minibatch = ExampleArrays.from_rows(fit_data.multiclass, fit_data.rows[idx], d,
-                                                fit_data.labels[idx], None,
-                                                fit_data.n_classes)
+            minibatch = fit_data.take(perm[start:start + bs])
             g = gradient(model, minibatch, scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
@@ -499,8 +469,10 @@ def train(train_batches, config, settings):
             np.sqrt(denom, out=denom)
             denom += settings.adam_eps
             step_size /= denom
-            # non-finite whenever g is, and when lr*mhat overflows
-            if not np.all(np.isfinite(step_size)):
+            # step_size is non-finite whenever g is and when lr*mhat
+            # overflows; denom is when g*g overflows, which would leave
+            # a zero step and freeze the parameter
+            if not (np.all(np.isfinite(step_size)) and np.all(np.isfinite(denom))):
                 raise TrainingDivergedError(epoch)
             params -= step_size
         check = loss(model, hold_data if hold_data is not None else fit_data, scheme)

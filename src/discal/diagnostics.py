@@ -179,18 +179,19 @@ def visual_export(model, batches, coordinate=0):
     if model.config.architecture != clf.ARCH_BINARY:
         raise lm.ConfigurationError("visual export is defined for binary models")
     data = clf.arrays_from_batches(batches)
+    x_nl, x_lin, _ = data.scored_rows()
     if isinstance(coordinate, str):
         names = batches[0].linear_names
         if coordinate not in names:
             raise lm.ConfigurationError("unknown feature %r (have %s)"
                                         % (coordinate, list(names)))
-        values = data.x_lin[:, names.index(coordinate)]
+        values = x_lin[:, names.index(coordinate)]
     else:
         coordinate = int(coordinate)
-        if not (0 <= coordinate < data.x_nl.shape[1]):
+        if not (0 <= coordinate < x_nl.shape[1]):
             raise lm.ConfigurationError("coordinate %d out of range" % coordinate)
-        values = data.x_nl[:, coordinate]
-    preds = expit(model.score(data.x_nl, data.x_lin))
+        values = x_nl[:, coordinate]
+    preds = expit(model.score(x_nl, x_lin))
     return np.column_stack([values, preds, data.labels.astype(float)])
 
 

@@ -1,15 +1,19 @@
 """Label mappings: turn simulation runs into batched classification examples.
 
-Four mappings are supported.  All of them assign label 0 to the prior draw
-theta and share the defining property that under perfect calibration
-(q = true posterior) the feature distribution is independent of the label,
-so any classifier's predictive edge measures miscalibration.
+Every mapping lays a run out the same way: K = M+1 occupant rows
+[occupant (or its rank) | y | linear], theta in row 0 and the draws in
+order after it.  The mappings differ only in their labels.  All of them
+assign label 0 to theta and share the defining property that under perfect
+calibration (q = true posterior) the feature distribution is independent
+of the label, so any classifier's predictive edge measures miscalibration.
 
-  BINARY_FULL   label 0 <-> (theta, y), label 1 <-> (draw_m, y)
+  BINARY_FULL   label 0 <-> (theta, y), label 1 <-> (draw_m, y): one
+                example per row
   BINARY_NO_Y   same with y omitted
-  BINARY_RANK   features are rank statistics of a scalar coordinate
-  MULTICLASS    K = M+1 slots; example k places theta in slot k (cyclic
-                insertion, draws keep their relative order)
+  BINARY_RANK   the occupant is its rank among the run's K values of a
+                scalar coordinate
+  MULTICLASS    K classes; example k is the whole run with theta in slot k
+                (cyclic insertion: the draws keep their relative order)
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ class FeatureConfig:
     """Feature engineering knobs shared by all mappings.
 
     theta_subset selects coordinates of theta (dimension reduction);
-    linear_features are appended per example (binary) or per slot
-    (multiclass) and feed the classifier's final-layer skip connection.
+    linear_features are appended to every occupant row and feed the
+    classifier's final-layer skip connection.
     """
 
     include_y: bool = True
@@ -62,20 +66,15 @@ class FeatureConfig:
 
 
 @dataclass
-class Example:
-    label: int
-    feature: np.ndarray
-    batch_id: int
-
-
-@dataclass
 class Batch:
-    """All examples mapped from one run, stored as a feature matrix.
+    """One run's K occupant rows and the labels of its examples.
 
-    Feature layout (row = example):
-      binary kinds:  [nonlinear block (d_nonlinear) | linear block (n_linear)]
-      multiclass:    [theta*_0 .. theta*_M (d_sel each) | y (d_y) |
-                      linear_0 .. linear_M (n_linear each)]
+    `features` is (K, d_nonlinear + n_linear): row j is
+    [occupant j (or its rank) (d_nonlinear - d_y) | y (d_y) | linear (n_linear)]
+    with theta in row 0.  A binary example is one row, labelled 0 for theta
+    and 1 for a draw.  Multiclass example k (label k) is all K rows with
+    theta in slot k and the draws in order around it
+    (rows[_cyclic_insertion(K)[k]]).
     """
 
     batch_id: int
@@ -83,10 +82,9 @@ class Batch:
     features: np.ndarray
     kind: MappingKind
     n_classes: int
-    d_nonlinear: int        # per-slot nonlinear dim for multiclass
-    n_linear: int           # per-slot for multiclass, total for binary
+    d_nonlinear: int
+    n_linear: int
     linear_names: tuple = ()
-    d_theta_sel: int = 0
     d_y: int = 0
 
     @property
@@ -94,47 +92,17 @@ class Batch:
         return self.labels.shape[0]
 
     @property
-    def examples(self):
-        return [Example(int(t), phi, self.batch_id)
-                for t, phi in zip(self.labels, self.features)]
-
-    @property
     def label_multiset(self):
         vals, counts = np.unique(self.labels, return_counts=True)
         return dict(zip(vals.tolist(), counts.tolist()))
 
     def nonlinear(self):
-        """(L, d_nonlinear) nonlinear inputs; binary kinds only."""
-        if self.kind is MappingKind.MULTICLASS:
-            raise ConfigurationError("use slot_views() for multiclass batches")
+        """(K, d_nonlinear) nonlinear block of the occupant rows."""
         return self.features[:, : self.d_nonlinear]
 
     def linear(self):
-        if self.kind is MappingKind.MULTICLASS:
-            raise ConfigurationError("use slot_views() for multiclass batches")
+        """(K, n_linear) linear block of the occupant rows."""
         return self.features[:, self.d_nonlinear:]
-
-    def slot_views(self):
-        """Per-slot arrays for multiclass: (L, K, d_nonlinear), (L, K, n_linear)."""
-        if self.kind is not MappingKind.MULTICLASS:
-            raise ConfigurationError("slot_views() requires a multiclass batch")
-        rows = slot_rows(self.features, self)
-        return rows[..., :self.d_nonlinear], rows[..., self.d_nonlinear:]
-
-
-def slot_rows(features, layout):
-    """(L, K, d_nonlinear + n_linear) per-slot rows of L multiclass feature rows.
-
-    `features` holds rows in the flat layout of the multiclass Batch
-    `layout`, e.g. the rows of several such batches stacked.
-    """
-    L, K = features.shape[0], layout.n_classes
-    ds, dy, p = layout.d_theta_sel, layout.d_y, layout.n_linear
-    rows = np.empty((L, K, ds + dy + p))
-    rows[:, :, :ds] = features[:, :K * ds].reshape(L, K, ds)
-    rows[:, :, ds:ds + dy] = features[:, None, K * ds:K * ds + dy]
-    rows[:, :, ds + dy:] = features[:, K * ds + dy:].reshape(L, K, p)
-    return rows
 
 
 def _selected(d_theta, cfg):
@@ -205,13 +173,11 @@ def _cyclic_insertion(K):
 def _map_runs(runs, kind, cfg, seed):
     """Map runs sharing (d_theta, d_y, M) to one Batch each, all at once.
 
-    Every mapping starts from the same (S, K, .) rows, K = M+1 occupants per
-    run with theta in slot 0: [occupant (or its rank) | y | linear].  These
-    rows are the binary layout; multiclass gathers them by cyclic insertion.
-    Batch s's features are the view buf[s] of one (S, K, F) buffer.  The
-    seed drives only the rank jitter, whose rows per run are the rank
-    mapping's feature first, then each 'rank' linear feature's coordinates
-    in theta_subset order.
+    Every mapping writes the same (S, K, F) occupant rows, K = M+1 per run
+    with theta in row 0: [occupant (or its rank) | y | linear].  Batch s's
+    features are the view rows[s].  The seed drives only the rank jitter,
+    whose rows per run are the rank mapping's feature first, then each
+    'rank' linear feature's coordinates in theta_subset order.
     """
     kind = MappingKind(kind)
     for name in cfg.linear_features:
@@ -231,8 +197,8 @@ def _map_runs(runs, kind, cfg, seed):
     d_y = first.y.shape[0] if include_y else 0
     p = sum(ds if name == "rank" else 1 for name in cfg.linear_features)
 
-    # written in place: the binary rows are the output, with no temporaries
-    # of their size
+    # written in place: the rows are the output, with no temporaries of
+    # their size
     rows = np.empty((S, K, ds + d_y + p))
     occ = np.empty((S, K, 1)) if kind is MappingKind.BINARY_RANK else rows[:, :, :ds]
     occ[:, 0] = np.stack([r.theta for r in runs])[:, sel]
@@ -259,19 +225,13 @@ def _map_runs(runs, kind, cfg, seed):
             names.append(name)
 
     if kind is MappingKind.MULTICLASS:
-        idx = _cyclic_insertion(K)
-        buf = np.empty((S, K, K * ds + d_y + K * p))
-        buf[:, :, :K * ds] = rows[:, idx, :ds].reshape(S, K, K * ds)
-        buf[:, :, K * ds:K * ds + d_y] = rows[:, :1, ds:ds + d_y]
-        buf[:, :, K * ds + d_y:] = rows[:, idx, ds + d_y:].reshape(S, K, K * p)
         labels, n_classes = np.arange(K), K
     else:
-        buf = rows
         labels, n_classes = np.concatenate([[0], np.ones(K - 1, dtype=int)]), 2
     labels.flags.writeable = False  # one array shared by every batch
-    return [Batch(batch_id=int(r.run_id), labels=labels, features=buf[s], kind=kind,
+    return [Batch(batch_id=int(r.run_id), labels=labels, features=rows[s], kind=kind,
                   n_classes=n_classes, d_nonlinear=ds + d_y, n_linear=p,
-                  linear_names=tuple(names), d_theta_sel=ds, d_y=d_y)
+                  linear_names=tuple(names), d_y=d_y)
             for s, r in enumerate(runs)]
 
 
@@ -307,10 +267,24 @@ def split_batches(batches, val_fraction, seed=0):
 
 
 def export_examples(batches, path):
-    """Dump mapped examples as JSONL for external classifiers."""
+    """Dump mapped examples as JSONL for external classifiers.
+
+    A binary example's phi is its row.  A multiclass example's phi is flat:
+    its K slot occupants (d_nonlinear - d_y each), then y once, then the K
+    slots' linear features.
+    """
     with open(path, "w") as fh:
         for batch in batches:
-            for t, phi in zip(batch.labels, batch.features):
+            phis = batch.features
+            if batch.kind is MappingKind.MULTICLASS:
+                K, ds = batch.n_classes, batch.d_nonlinear - batch.d_y
+                slots = batch.features[_cyclic_insertion(K)]
+                phis = np.concatenate(
+                    [slots[:, :, :ds].reshape(K, -1),
+                     np.broadcast_to(batch.features[0, ds:batch.d_nonlinear],
+                                     (K, batch.d_y)),
+                     slots[:, :, batch.d_nonlinear:].reshape(K, -1)], axis=1)
+            for t, phi in zip(batch.labels, phis):
                 fh.write(json.dumps({"batch_id": int(batch.batch_id),
                                      "t": int(t),
                                      "phi": phi.tolist()}) + "\n")

@@ -160,7 +160,9 @@ def test_settings_validation():
         clf.TrainSettings(epochs=0)
 
 
-def test_predict_log_prob_matches_batch_forward():
+def test_per_example_forward_matches_class_log_probs():
+    # each example scored on its own through the forward pass that defines
+    # its head: a binary row, or a multiclass example's K slot rows
     for kind in (lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS):
         batches = make_batches(kind, d=2, S=4, M=3)
         cfg = clf.config_for_batches(batches, hidden_sizes=(4,))
@@ -168,8 +170,16 @@ def test_predict_log_prob_matches_batch_forward():
         data = clf.arrays_from_batches(batches)
         expected = clf.class_log_probs(model, data)[np.arange(data.labels.size),
                                                    data.labels]
-        got = [clf.predict_log_prob(model, ex)
-               for b in batches for ex in b.examples]
+        got = []
+        for b in batches:
+            for k, t in enumerate(b.labels):
+                if kind is lm.MappingKind.MULTICLASS:
+                    slots, d = reference_slots(b)[k], b.d_nonlinear
+                    p_true = clf.forward_multiclass(model, slots[:, :d], slots[:, d:])[t]
+                else:
+                    p1 = clf.forward_binary(model, b.features[k])
+                    p_true = p1 if t == 1 else 1.0 - p1
+                got.append(np.log(np.clip(p_true, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -203,16 +213,15 @@ def test_probability_clamping_keeps_loss_finite():
                            features=("log_p",))
     # strip the nonlinear block by feeding arrays directly
     data = clf.arrays_from_batches(batches)
-    data = clf.ExampleArrays(multiclass=False,
-                             x_nl=np.zeros((data.labels.size, 0)),
-                             x_lin=data.x_lin, labels=data.labels,
-                             batch_ids=data.batch_ids, n_classes=2)
+    data = clf.ExampleArrays(False, data.rows[..., data.d:], 0, data.labels,
+                             data.batch_ids, n_classes=2)
     assert np.isfinite(clf.loss(model, data))
 
 
 # ---- frozen reference: the training loop before the in-place rewrite --------
 # Parameters as separate arrays, two forward passes per gradient,
-# out-of-place Adam, and multiclass examples scored one slot row at a time.
+# out-of-place Adam, and every multiclass example scored slot by slot from
+# its own copy of the K slot rows.
 
 class ReferenceModel:
     def __init__(self, config, seed):
@@ -255,12 +264,20 @@ class ReferenceModel:
         return self.mlp_forward((x_nl - self.x_mean) / self.x_scale)[0] + x_lin @ self.w_linear
 
 
+def reference_slots(b):
+    """(K, K, F) slot rows of a multiclass batch's K examples.
+
+    Example k puts theta (occupant row 0) in slot k and the draws in order
+    around it.
+    """
+    K = b.n_classes
+    return np.stack([b.features[np.concatenate([np.arange(1, k + 1), [0], np.arange(k + 1, K)])]
+                     for k in range(K)])
+
+
 def reference_slot_views(b):
-    L, K, ds, dy = b.n_examples, b.n_classes, b.d_theta_sel, b.d_y
-    theta_part = b.features[:, :K * ds].reshape(L, K, ds)
-    y_part = b.features[:, K * ds:K * ds + dy]
-    nl = np.concatenate([theta_part, np.repeat(y_part[:, None, :], K, axis=1)], axis=2)
-    return nl, b.features[:, K * ds + dy:].reshape(L, K, b.n_linear)
+    slots = reference_slots(b)
+    return slots[..., :b.d_nonlinear], slots[..., b.d_nonlinear:]
 
 
 def reference_arrays(batches):
@@ -410,9 +427,28 @@ def test_train_matches_frozen_reference(case, seed):
                                  else clf.UNWEIGHTED)
     model = clf.train(batches, cfg, settings)
     ref = reference_train(batches, cfg, settings)
+    if kind is lm.MappingKind.MULTICLASS:
+        # scored once per run and standardized over the occupant rows: the
+        # sums run in another order, so the result agrees to rounding only
+        for got, want in ((model.get_params(), ref.get_params()),
+                          (model.x_mean, ref.x_mean), (model.x_scale, ref.x_scale)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+        return
     np.testing.assert_array_equal(model.get_params(), ref.get_params())
     np.testing.assert_array_equal(model.x_mean, ref.x_mean)
     np.testing.assert_array_equal(model.x_scale, ref.x_scale)
+
+
+def _recording_score(model):
+    """Record the row count of every scoring pass of `model`."""
+    rows, real = [], model.score
+
+    def score(x_nl, x_lin, keep_cache=False):
+        rows.append(x_nl.shape[0])
+        return real(x_nl, x_lin, keep_cache)
+
+    model.score = score
+    return rows
 
 
 def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
@@ -421,19 +457,23 @@ def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
     cfg = clf.config_for_batches(batches, hidden_sizes=(5,))
     model = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=2, learning_rate=0.05))
     data = clf.arrays_from_batches(batches)
-    assert clf._whole_runs(data) is not None        # the per-run path is taken
     ref_arrays = reference_arrays(batches)
     ref = ReferenceModel(cfg, seed=0)
     ref.set_params(model.get_params())
     ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
     expected = reference_class_log_probs(ref, True, ref_arrays[1], ref_arrays[2])
+    scored = _recording_score(model)
     np.testing.assert_allclose(clf.class_log_probs(model, data), expected, rtol=0, atol=1e-12)
-    # data that is not made of whole runs is scored per example
-    part = clf.ExampleArrays(True, data.x_nl[1:], data.x_lin[1:], data.labels[1:],
-                             data.batch_ids[1:], data.n_classes)
-    assert clf._whole_runs(part) is None
+    assert scored == [12 * 6]          # one pass over each run's K rows
+    # a partial run still scores the K rows of each run it touches, once
+    part = data.take(np.arange(1, data.labels.size))
     np.testing.assert_allclose(clf.class_log_probs(model, part), expected[1:],
                                rtol=0, atol=1e-12)
+    two_runs = data.take(np.arange(4, 9))
+    np.testing.assert_allclose(clf.class_log_probs(model, two_runs), expected[4:9],
+                               rtol=0, atol=1e-12)
+    assert scored == [12 * 6, 12 * 6, 2 * 6]
+    del model.score
 
     lpd, scores = dg.lpd_val(model, data)
     test = dg.permutation_test(model, data, B=50, seed=4)
@@ -445,6 +485,38 @@ def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
     assert abs(test.lpd_observed - ref_test.lpd_observed) < 1e-12
     np.testing.assert_allclose(test.lpd_permuted, ref_test.lpd_permuted, rtol=0, atol=1e-12)
     assert test.p_value == ref_test.p_value
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_multiclass_gradient_matches_per_slot_reference(activation):
+    # one pass per run gives the per-slot gradient of every example subset
+    M = 4
+    batches = make_batches(lm.MappingKind.MULTICLASS, d=2, S=10, M=M, bias=0.5, seed=4)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(6, 3), activation=activation)
+    model = clf.Model(cfg, seed=3)
+    rng = np.random.default_rng(8)
+    model.set_params(model.get_params() + rng.normal(scale=0.3, size=model.params.size))
+    model.set_standardizer(rng.normal(size=cfg.input_dim), rng.uniform(0.5, 2.0, cfg.input_dim))
+    ref = ReferenceModel(cfg, seed=0)
+    ref.set_params(model.get_params())
+    ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
+    data = clf.arrays_from_batches(batches)
+    mc, x_nl, x_lin, labels = reference_arrays(batches)
+    N = labels.size
+    subsets = {
+        "whole runs": np.arange(N),
+        "partial run": np.arange(1, N - 2),
+        "repeated runs": np.array([7, 3, 8, 6, 21, 0, 9, 22, 5]),   # runs 1, 0, 4, 1
+        "shuffled minibatch": rng.permutation(N)[:13],
+    }
+    for name, idx in subsets.items():
+        for scheme in (clf.UNWEIGHTED, clf.balanced_binary(M)):
+            g = clf.gradient(model, data.take(idx), scheme)
+            want = reference_gradient(ref, (mc, x_nl[idx], x_lin[idx], labels[idx]), scheme)
+            err = np.max(np.abs(g - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (name, scheme, err)
+    full = clf.gradient(model, batches, clf.UNWEIGHTED)
+    np.testing.assert_array_equal(full, clf.gradient(model, data, clf.UNWEIGHTED))
 
 
 def test_get_params_returns_a_copy_of_the_live_buffer():
@@ -515,3 +587,30 @@ def test_training_divergence_mid_epoch_raises(monkeypatch):
         model.params.size, np.nan))
     with pytest.raises(clf.TrainingDivergedError):
         clf.train(batches, cfg, clf.TrainSettings(epochs=1, seed=0))
+
+
+def test_second_moment_overflow_raises():
+    # one theta log density of 1.5e308 makes a finite gradient near 1e307
+    # when its weight is positive: g*g overflows, Adam's second moment
+    # becomes inf and the step 0, which would freeze the parameter silently
+    from discal import diagnostics as dg
+    t = sm.generate_gaussian_table(2, 12, 3, 1.0, sm.Corruption(bias=0.3), seed=1,
+                                   attach_densities=True)
+    t.runs[0].log_p[0] = 1.5e308
+    cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
+    batches = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
+    model_cfg = clf.config_for_batches(batches, hidden_sizes=(8,))
+    model = clf.Model(model_cfg, seed=0)
+    model.w_linear[:] = [0.5, 0.0]
+    with np.errstate(over="ignore"):
+        g = clf.gradient(model, batches)
+        assert np.all(np.isfinite(g)) and np.max(np.abs(g)) > 1e154
+        with pytest.raises(clf.TrainingDivergedError) as err:
+            clf.train(batches, model_cfg, clf.TrainSettings(epochs=3, seed=2,
+                                                            val_fraction=0.0))
+        assert err.value.epoch == 0
+        with pytest.raises(dg.PipelineError) as err:
+            dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, cfg, model_cfg=model_cfg,
+                            settings=clf.TrainSettings(epochs=3, seed=0), B=10, R=100)
+    assert err.value.stage == "train"
+    assert isinstance(err.value.original, clf.TrainingDivergedError)

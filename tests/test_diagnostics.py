@@ -54,7 +54,12 @@ def test_lpd_val_against_direct_computation():
     model = oracle_weight_model(1)
     lpd, scores = dg.lpd_val(model, batches, clf.UNWEIGHTED)
     assert scores.size == sum(b.n_examples for b in batches)
-    direct = [clf.predict_log_prob(model, ex) for b in batches for ex in b.examples]
+    direct = []
+    for b in batches:
+        for phi, t in zip(b.features, b.labels):
+            p1 = clf.forward_binary(model, phi)
+            direct.append(np.log(np.clip(p1 if t == 1 else 1.0 - p1,
+                                         clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
     np.testing.assert_allclose(scores, direct, atol=1e-12)
     assert abs(lpd - np.mean(direct)) < 1e-12
 
@@ -122,9 +127,7 @@ def test_permutation_test_unequal_batch_sizes():
     model = oracle_weight_model(1)
     data = clf.arrays_from_batches(batches)
     # one M per table gives equal batch sizes; anything else is rejected
-    trimmed = clf.ExampleArrays(multiclass=False, x_nl=data.x_nl[1:],
-                                x_lin=data.x_lin[1:], labels=data.labels[1:],
-                                batch_ids=data.batch_ids[1:], n_classes=2)
+    trimmed = data.take(np.arange(1, data.labels.size))
     with pytest.raises(sm.InvalidParameterError):
         dg.permutation_test(model, trimmed, B=300, seed=7)
 

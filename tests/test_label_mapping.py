@@ -1,10 +1,12 @@
 """Tests for the label mappings and batching machinery."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from discal import classifier as clf
 from discal import label_mapping as lm
 from discal import sim_model as sm
 
@@ -130,21 +132,29 @@ def test_multiclass_cyclic_insertion():
     assert b.kind is lm.MappingKind.MULTICLASS
     assert b.n_classes == K
     np.testing.assert_array_equal(b.labels, np.arange(K))
+    # one row per occupant, theta first, as in the binary layout
     occupants = np.vstack([run.theta[None, :], run.draws])
+    assert b.features.shape == (K, 4)
+    np.testing.assert_array_equal(b.features[:, :2], occupants)
+    np.testing.assert_array_equal(b.features[:, 2:], np.repeat(run.y[None, :], K, axis=0))
+    idx = lm._cyclic_insertion(K)
     for k in range(K):
-        slots = b.features[k, : K * 2].reshape(K, 2)
+        slots = b.features[idx[k], :2]
         # slot k holds theta; the draws keep their original order around it
         expect = np.vstack([run.draws[:k], run.theta[None, :], run.draws[k:]])
         np.testing.assert_allclose(slots, expect)
-        np.testing.assert_allclose(b.features[k, K * 2: K * 2 + 2], run.y)
-    assert occupants.shape == (K, 2)
+        np.testing.assert_allclose(b.features[idx[k], 2:], np.repeat(run.y[None, :], K, axis=0))
 
 
 def test_multiclass_slot_views():
     t = small_table(d=1, M=2)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
     b = lm.map_run(t.runs[0], lm.MappingKind.MULTICLASS, cfg)
-    nl, lin = b.slot_views()
+    # the occupant blocks work for every mapping
+    assert b.nonlinear().shape == (3, 2) and b.linear().shape == (3, 2)
+    # example k's slots are the occupant rows in cyclic-insertion order k
+    slots = b.features[lm._cyclic_insertion(3)]
+    nl, lin = slots[..., :b.d_nonlinear], slots[..., b.d_nonlinear:]
     assert nl.shape == (3, 3, 2)   # (examples, slots, theta+y)
     assert lin.shape == (3, 3, 2)
     run = t.runs[0]
@@ -153,6 +163,12 @@ def test_multiclass_slot_views():
     np.testing.assert_allclose(nl[1, 1], [run.theta[0], run.y[0]])
     np.testing.assert_allclose(lin[1, 1], [run.log_p[0], run.log_q[0]])
     np.testing.assert_allclose(lin[1, 2], [run.log_p[2], run.log_q[2]])
+    # the classifier scores the same slots from the shared rows
+    data = clf.arrays_from_batches([b])
+    x_nl, x_lin, run_of = data.take(np.array([1])).scored_rows()
+    np.testing.assert_array_equal(run_of, [0])
+    np.testing.assert_array_equal(x_nl[lm._cyclic_insertion(3)[1]], nl[1])
+    np.testing.assert_array_equal(x_lin[lm._cyclic_insertion(3)[1]], lin[1])
 
 
 def test_map_table_seed_only_affects_rank_jitter():
@@ -204,6 +220,19 @@ def test_export_examples(tmp_path):
     rec = json.loads(lines[0])
     assert set(rec) == {"batch_id", "t", "phi"}
     np.testing.assert_allclose(rec["phi"], batches[0].features[0])
+    # multiclass phi: K slot occupants, y once, then the K slots' linear features
+    cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
+    mc = lm.map_table(t, lm.MappingKind.MULTICLASS, cfg)
+    lm.export_examples(mc, str(path))
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["batch_id"], r["t"]) for r in recs] == [(b.batch_id, k) for b in mc
+                                                     for k in range(3)]
+    run = t.runs[1]
+    occ = [1, 2, 0]          # example 2: (draw_1, draw_2, theta)
+    theta_draws = np.vstack([run.theta[None, :], run.draws])
+    lin = np.column_stack([run.log_p, run.log_q])
+    expect = np.concatenate([theta_draws[occ].ravel(), run.y, lin[occ].ravel()])
+    assert recs[5]["phi"] == expect.tolist()
 
 
 def test_map_empty_table_rejected():
@@ -214,12 +243,29 @@ def test_map_empty_table_rejected():
 
 
 def test_batch_examples_view():
-    t = small_table(S=1, M=2)
-    b = lm.map_table(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig())[0]
-    exs = b.examples
-    assert len(exs) == 3
-    assert exs[0].label == 0 and exs[1].batch_id == b.batch_id
-    np.testing.assert_allclose(exs[2].feature, b.features[2])
+    t = small_table(S=2, M=2)
+    for kind in (lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS):
+        batches = lm.map_table(t, kind, lm.FeatureConfig())
+        b = batches[1]
+        data = clf.arrays_from_batches(batches)
+        assert data.labels.size == 6 and data.rows.shape == (2, 3, 4)
+        np.testing.assert_array_equal(data.labels[3:], b.labels)
+        np.testing.assert_array_equal(data.batch_ids[3:], b.batch_id)
+        np.testing.assert_array_equal(data.rows[1], b.features)
+        # a subset of examples views the same rows; it copies no slot rows
+        sub = data.take(np.array([5, 3]))
+        assert sub.rows is data.rows
+        np.testing.assert_array_equal(sub.index, [5, 3])
+        np.testing.assert_array_equal(sub.labels, data.labels[[5, 3]])
+        x_nl, x_lin, run = sub.scored_rows()
+        if kind is lm.MappingKind.MULTICLASS:
+            # both examples belong to run 1: its K rows are scored once
+            np.testing.assert_array_equal(run, [0, 0])
+            np.testing.assert_array_equal(x_nl, b.features)
+        else:
+            assert run is None
+            np.testing.assert_array_equal(x_nl, b.features[[2, 0]])
+        assert x_lin.shape == (x_nl.shape[0], 0)
 
 
 # ---- guard: the batched mapper against the per-run reference ---------------
@@ -234,7 +280,11 @@ def _reference_ranks(vals, rng):
 
 
 def reference_map_run(run, kind, cfg, rng):
-    """Frozen per-run mappers: one run, one rng drawn from in mapping order."""
+    """Frozen per-run mappers: one run, one rng drawn from in mapping order.
+
+    Multiclass features are the flat per-example rows
+    [K slot occupants | y | K slots' linear features].
+    """
     for name in cfg.linear_features:
         if name in ("log_p", "log_q") and getattr(run, name) is None:
             raise lm.ConfigurationError("missing %s" % name)
@@ -261,10 +311,10 @@ def reference_map_run(run, kind, cfg, rng):
     lin = np.column_stack(cols) if cols else np.zeros((M + 1, 0))
     labels = np.concatenate([[0], np.ones(M, dtype=int)])
     meta = dict(batch_id=int(run.run_id), n_classes=2, n_linear=lin.shape[1],
-                linear_names=tuple(names), d_theta_sel=sel.size)
+                linear_names=tuple(names))
     if kind is lm.MappingKind.BINARY_RANK:
-        return lm.Batch(labels=labels, features=np.hstack([ranks[:, None], lin]),
-                        kind=kind, d_nonlinear=1, d_y=0, **meta)
+        return SimpleNamespace(labels=labels, features=np.hstack([ranks[:, None], lin]),
+                               kind=kind, d_nonlinear=1, d_y=0, **meta)
     include_y = cfg.include_y and kind is not lm.MappingKind.BINARY_NO_Y
     d_y = run.y.shape[0] if include_y else 0
     if kind is lm.MappingKind.MULTICLASS:
@@ -275,12 +325,12 @@ def reference_map_run(run, kind, cfg, rng):
             parts = [occupants[occ].ravel()] + ([run.y] if d_y else [])
             features[k] = np.concatenate(parts + [lin[occ].ravel()])
         meta.update(n_classes=K)
-        return lm.Batch(labels=np.arange(K), features=features, kind=kind,
-                        d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
+        return SimpleNamespace(labels=np.arange(K), features=features, kind=kind,
+                               d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
     blocks = [occupants] + ([np.repeat(run.y[None, :], M + 1, axis=0)] if d_y else [])
     kind = lm.MappingKind.BINARY_FULL if include_y else lm.MappingKind.BINARY_NO_Y
-    return lm.Batch(labels=labels, features=np.hstack(blocks + [lin]), kind=kind,
-                    d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
+    return SimpleNamespace(labels=labels, features=np.hstack(blocks + [lin]), kind=kind,
+                           d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
 
 
 def reference_map_table(table, kind, cfg, seed):
@@ -296,17 +346,32 @@ def _outcome(fn):
         return type(exc)
 
 
-def _assert_same_batches(got, ref):
+def reference_export(batches, path):
+    """The JSONL export of flat example rows, one line per row."""
+    with open(path, "w") as fh:
+        for batch in batches:
+            for t, phi in zip(batch.labels, batch.features):
+                fh.write(json.dumps({"batch_id": int(batch.batch_id), "t": int(t),
+                                     "phi": phi.tolist()}) + "\n")
+
+
+def _assert_same_batches(got, ref, tmp_path=None):
     if isinstance(ref, type):
         assert got is ref
         return
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
-        np.testing.assert_array_equal(g.features, r.features, strict=True)
+        if r.kind is not lm.MappingKind.MULTICLASS:
+            np.testing.assert_array_equal(g.features, r.features, strict=True)
         np.testing.assert_array_equal(g.labels, r.labels, strict=True)
         for name in ("batch_id", "kind", "n_classes", "d_nonlinear", "n_linear",
-                     "linear_names", "d_theta_sel", "d_y"):
+                     "linear_names", "d_y"):
             assert getattr(g, name) == getattr(r, name), name
+    if ref[0].kind is lm.MappingKind.MULTICLASS:
+        # the multiclass rows are checked through the export of every example
+        lm.export_examples(got, tmp_path / "got.jsonl")
+        reference_export(ref, tmp_path / "ref.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
 
 def _tied_table(d, S=9, M=4):
@@ -321,7 +386,7 @@ FEATURE_SETS = ((), ("log_p", "log_q"), ("rank",), ("log_q", "rank", "log_p"))
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 @pytest.mark.parametrize("d", [1, 3])
-def test_batched_mapper_matches_per_run_reference(seed, d):
+def test_batched_mapper_matches_per_run_reference(seed, d, tmp_path):
     tables = [sm.generate_gaussian_table(d, 7, 4, 1.0, sm.Corruption(bias=0.3),
                                          seed=seed, attach_densities=True),
               _tied_table(d)]
@@ -334,9 +399,10 @@ def test_batched_mapper_matches_per_run_reference(seed, d):
                                                linear_features=feats)
                         ref = _outcome(lambda: reference_map_table(table, kind, cfg, seed))
                         got = _outcome(lambda: lm.map_table(table, kind, cfg, seed))
-                        _assert_same_batches(got, ref)
+                        _assert_same_batches(got, ref, tmp_path)
                         one = _outcome(lambda: [lm.map_run(table.runs[0], kind, cfg, seed)])
-                        _assert_same_batches(one, ref if isinstance(ref, type) else ref[:1])
+                        _assert_same_batches(one, ref if isinstance(ref, type) else ref[:1],
+                                             tmp_path)
 
 
 def test_batched_mapper_error_types_match_reference():
