@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from . import label_mapping as lm
 from .label_mapping import MappingKind, _cyclic_insertion
 from .sim_model import InvalidParameterError
 
@@ -323,6 +324,12 @@ def config_for_batches(batches, hidden_sizes=(64, 64), activation="tanh"):
     return ModelConfig(architecture=arch, input_dim=b.d_nonlinear,
                        hidden_sizes=hidden_sizes, activation=activation,
                        n_linear_features=b.n_linear, class_count=b.n_classes)
+
+
+def config_for_table(table, kind, feature_cfg, hidden_sizes=(64, 64), activation="tanh"):
+    """The ModelConfig for map_table's batches of a table, from its first run."""
+    batches = lm.map_table(table.take(slice(0, 1)), kind, feature_cfg)
+    return config_for_batches(batches, hidden_sizes, activation)
 
 
 # ---- loss and gradient ------------------------------------------------------

@@ -118,12 +118,9 @@ def cmd_diagnose(args):
                                  minibatch_size=args.minibatch,
                                  weight_scheme=scheme, patience=args.patience,
                                  seed=args.seed, val_fraction=args.val_fraction)
-    if table.S == 0:
-        raise lm.ConfigurationError("cannot map an empty table")
-    # the model layout depends only on the mapping's shapes: one run suffices
-    probe = lm.map_run(table.runs[0], MAPPING_NAMES[args.mapping], cfg)
-    model_cfg = clf.config_for_batches([probe], hidden_sizes=args.hidden)
-    report, test, model = dg.run_pipeline(table, MAPPING_NAMES[args.mapping], cfg,
+    kind = MAPPING_NAMES[args.mapping]
+    model_cfg = clf.config_for_table(table, kind, cfg, hidden_sizes=args.hidden)
+    report, test, model = dg.run_pipeline(table, kind, cfg,
                                           model_cfg=model_cfg, settings=settings,
                                           B=args.B, R=args.R, alpha=args.alpha)
     echo = {"table": args.table, "mapping": args.mapping,
@@ -138,7 +135,8 @@ def cmd_diagnose(args):
             fh.write(text + "\n")
         json.loads(open(args.out).read())  # self-check
     if args.visual:
-        batches = lm.map_table(table, MAPPING_NAMES[args.mapping], cfg, seed=0)
+        # the rows the model was scored on, mapped with run_pipeline's seed
+        batches = lm.map_table(table, kind, cfg, seed=dg.pipeline_seeds(args.seed)[0])
         coord = args.coordinate
         coord = int(coord) if coord.lstrip("-").isdigit() else coord
         rows = dg.visual_export(model, batches, coordinate=coord)

@@ -202,6 +202,11 @@ def write_visual_csv(rows, path):
             fh.write("%.10g,%.10g,%d\n" % (coord, pred, int(lab)))
 
 
+def pipeline_seeds(seed):
+    """run_pipeline's stage seeds: (map, split, train, bootstrap, permutation)."""
+    return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(5))
+
+
 def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
                  B=1000, R=1000, alpha=0.05):
     """Map -> split -> train -> LPD -> divergence + CI -> permutation test.
@@ -210,9 +215,7 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
     """
     if settings is None:
         settings = clf.TrainSettings()
-    seeds = np.random.SeedSequence(settings.seed).spawn(5)
-    seed_map, seed_split, seed_train, seed_boot, seed_perm = (
-        int(s.generate_state(1)[0]) for s in seeds)
+    seed_map, seed_split, seed_train, seed_boot, seed_perm = pipeline_seeds(settings.seed)
 
     try:
         batches = lm.map_table(table, kind, feature_cfg, seed=seed_map)

@@ -1,4 +1,4 @@
-"""Label mappings: turn simulation runs into batched classification examples.
+"""Label mappings: turn a simulation table into batched classification examples.
 
 Every mapping lays a run out the same way: K = M+1 occupant rows
 [occupant (or its rank) | y | linear], theta in row 0 and the draws in
@@ -170,22 +170,24 @@ def _cyclic_insertion(K):
     return np.where(j < k, j + 1, np.where(j == k, 0, j))
 
 
-def _map_runs(runs, kind, cfg, seed):
-    """Map runs sharing (d_theta, d_y, M) to one Batch each, all at once.
+def map_table(table, kind, cfg, seed=0):
+    """Map every run of a table to one Batch each, ordered by run position.
 
     Every mapping writes the same (S, K, F) occupant rows, K = M+1 per run
     with theta in row 0: [occupant (or its rank) | y | linear].  Batch s's
-    features are the view rows[s].  The seed drives only the rank jitter,
-    whose rows per run are the rank mapping's feature first, then each
-    'rank' linear feature's coordinates in theta_subset order.
+    features are the view rows[s].  The seed drives only the rank jitter
+    (see _jittered_ranks_all), whose rows per run are the rank mapping's
+    feature first, then each 'rank' linear feature's coordinates in
+    theta_subset order; mappings without ranks are seed-independent.
     """
+    if table.S == 0:
+        raise ConfigurationError("cannot map an empty table")
     kind = MappingKind(kind)
     for name in cfg.linear_features:
-        if name != "rank" and any(getattr(r, name) is None for r in runs):
+        if name != "rank" and getattr(table, name) is None:
             raise ConfigurationError("linear feature %s requested but table has no %s"
                                      % (name, name))
-    first = runs[0]
-    sel = _selected(first.theta.shape[0], cfg)
+    sel = _selected(table.d_theta, cfg)
     if kind is MappingKind.BINARY_RANK and sel.size != 1:
         raise ConfigurationError(
             "rank mapping needs a scalar theta; got %d coordinates "
@@ -193,18 +195,18 @@ def _map_runs(runs, kind, cfg, seed):
     include_y = cfg.include_y and kind in (MappingKind.BINARY_FULL, MappingKind.MULTICLASS)
     if kind is MappingKind.BINARY_FULL and not include_y:
         kind = MappingKind.BINARY_NO_Y
-    S, K, ds = len(runs), first.M + 1, sel.size
-    d_y = first.y.shape[0] if include_y else 0
+    S, K, ds = table.S, table.M + 1, sel.size
+    d_y = table.d_y if include_y else 0
     p = sum(ds if name == "rank" else 1 for name in cfg.linear_features)
 
     # written in place: the rows are the output, with no temporaries of
     # their size
     rows = np.empty((S, K, ds + d_y + p))
     occ = np.empty((S, K, 1)) if kind is MappingKind.BINARY_RANK else rows[:, :, :ds]
-    occ[:, 0] = np.stack([r.theta for r in runs])[:, sel]
-    np.stack([r.draws[:, sel] for r in runs], out=occ[:, 1:])
+    occ[:, 0] = table.theta[:, sel]
+    occ[:, 1:] = table.draws[:, :, sel]
     if d_y:
-        rows[:, :, ds:ds + d_y] = np.stack([r.y for r in runs])[:, None, :]
+        rows[:, :, ds:ds + d_y] = table.y[:, None, :]
     ranked = [occ[:, :, 0]] if kind is MappingKind.BINARY_RANK else []
     ranked += [occ[:, :, i] for name in cfg.linear_features if name == "rank"
                for i in range(ds)]
@@ -221,7 +223,7 @@ def _map_runs(runs, kind, cfg, seed):
                 lin[:, :, len(names)] = next(ranks)
                 names.append("rank%d" % j)
         else:
-            np.stack([getattr(r, name) for r in runs], out=lin[:, :, len(names)])
+            lin[:, :, len(names)] = getattr(table, name)
             names.append(name)
 
     if kind is MappingKind.MULTICLASS:
@@ -229,27 +231,10 @@ def _map_runs(runs, kind, cfg, seed):
     else:
         labels, n_classes = np.concatenate([[0], np.ones(K - 1, dtype=int)]), 2
     labels.flags.writeable = False  # one array shared by every batch
-    return [Batch(batch_id=int(r.run_id), labels=labels, features=rows[s], kind=kind,
+    return [Batch(batch_id=run_id, labels=labels, features=rows[s], kind=kind,
                   n_classes=n_classes, d_nonlinear=ds + d_y, n_linear=p,
                   linear_names=tuple(names), d_y=d_y)
-            for s, r in enumerate(runs)]
-
-
-def map_run(run, kind, cfg, seed=0):
-    """Map one run; the result equals map_table's batch for a table of that run."""
-    return _map_runs([run], kind, cfg, seed)[0]
-
-
-def map_table(table, kind, cfg, seed=0):
-    """Map every run of a table; one batch per run, ordered by run position.
-
-    The seed drives only the rank tie-breaking jitter (one substream per
-    run, spawned only when a rank is requested), so mappings without ranks
-    are seed-independent.
-    """
-    if table.S == 0:
-        raise ConfigurationError("cannot map an empty table")
-    return _map_runs(table.runs, kind, cfg, seed)
+            for s, run_id in enumerate(table.run_ids.tolist())]
 
 
 def split_batches(batches, val_fraction, seed=0):

@@ -369,11 +369,9 @@ def _jittered_ranks(table, coordinate, seed):
     The tie-breaking jitter follows label_mapping's rule: run i draws it
     from the i-th substream spawned from `seed`.
     """
-    vals = np.empty((table.S, 1, table.M + 1))
-    for i, run in enumerate(table.runs):
-        vals[i, 0, 0] = run.theta[coordinate]
-        vals[i, 0, 1:] = run.draws[:, coordinate]
-    return _jittered_ranks_all(vals, seed)[:, 0]
+    vals = np.concatenate([table.theta[:, None, coordinate],
+                           table.draws[:, :, coordinate]], axis=1)
+    return _jittered_ranks_all(vals[:, None], seed)[:, 0]
 
 
 def sbc_ranks(table, coordinate=0, seed=0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,11 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class InvalidParameterError(ValueError):
-    """A parameter is outside its admissible range."""
+    """A parameter is outside its admissible range (`row`: a bad run's table position)."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class TableFormatError(ValueError):
@@ -101,83 +105,70 @@ class Corruption:
         return self.bias == 0.0 and self.variance_scale == 1.0
 
 
-@dataclass
-class SimulationRun:
-    """One run: prior draw theta, data y, M approximate posterior draws.
+@dataclass(eq=False)
+class SimulationTable:
+    """S independent runs sharing (d_theta, d_y, M), one array per field.
 
-    log_p / log_q, when present, are length M+1 arrays of log p(theta|y) and
-    log q(theta|y) evaluated at [theta, draw_1, ..., draw_M] (each up to an
-    additive constant shared within the run).
+    theta is (S, d_theta), y (S, d_y) and draws (S, M, d_theta).  log_p /
+    log_q, when present, are (S, M+1): log p(theta|y) and log q(theta|y)
+    at [theta, draw_1, ..., draw_M], each up to an additive constant shared
+    within the run.  run_ids are unique integers, arange(S) by default.
     """
 
-    run_id: int
     theta: np.ndarray
     y: np.ndarray
     draws: np.ndarray
     log_p: np.ndarray | None = None
     log_q: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        if self.draws.shape[1] != self.theta.shape[0]:
-            raise InvalidParameterError(
-                "run %s: draws have dimension %d, theta has %d"
-                % (self.run_id, self.draws.shape[1], self.theta.shape[0])
-            )
-        if self.draws.shape[0] < 1:
-            raise InvalidParameterError("run %s: M must be >= 1" % self.run_id)
-        M = self.draws.shape[0]
-        for name in ("log_p", "log_q"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                if arr.shape != (M + 1,):
-                    raise InvalidParameterError(
-                        "run %s: %s must have length M+1=%d" % (self.run_id, name, M + 1)
-                    )
-                setattr(self, name, arr)
-        for name, arr in (("theta", self.theta), ("y", self.y), ("draws", self.draws),
-                          ("log_p", self.log_p), ("log_q", self.log_q)):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise InvalidParameterError("run %s: non-finite %s" % (self.run_id, name))
-
-    @property
-    def M(self):
-        return self.draws.shape[0]
-
-
-@dataclass
-class SimulationTable:
-    """S independent runs sharing (d_theta, d_y, M)."""
-
-    runs: list
-    d_theta: int
-    d_y: int
-    M: int
+    run_ids: np.ndarray | None = None
     provenance: str = ""
 
     def __post_init__(self):
-        seen = set()
-        for run in self.runs:
-            if run.theta.shape[0] != self.d_theta:
-                raise InvalidParameterError("run %s: d_theta mismatch" % run.run_id)
-            if run.y.shape[0] != self.d_y:
-                raise InvalidParameterError("run %s: d_y mismatch" % run.run_id)
-            if run.M != self.M:
-                raise InvalidParameterError("run %s: M mismatch" % run.run_id)
-            if run.run_id in seen:
-                raise InvalidParameterError("duplicate run_id %s" % run.run_id)
-            seen.add(run.run_id)
+        self.draws, self.y = (np.asarray(a, dtype=float) for a in (self.draws, self.y))
+        if (self.draws.ndim != 3 or self.y.ndim != 2
+                or 0 in self.draws.shape[1:] + self.y.shape[1:]):
+            raise InvalidParameterError(
+                "draws must be (S, M, d_theta) and y (S, d_y) with M, d_theta, d_y "
+                ">= 1; got %s and %s" % (self.draws.shape, self.y.shape))
+        S, M, d = self.draws.shape
+        ids = np.arange(S) if self.run_ids is None else np.asarray(self.run_ids)
+        self.run_ids = ids
+        if ids.shape != (S,) or ids.dtype.kind not in "iu":
+            raise InvalidParameterError("run_ids must be S=%d integers" % S)
+        shapes = {"theta": (S, d), "y": (S, self.d_y), "draws": (S, M, d),
+                  "log_p": (S, M + 1), "log_q": (S, M + 1)}
+        for name, shape in shapes.items():
+            if getattr(self, name) is None:
+                continue
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise InvalidParameterError("%s has shape %s, expected %s"
+                                            % (name, arr.shape, shape))
+            ok = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            if not ok.all():
+                row = int(np.argmin(ok))
+                raise InvalidParameterError("run %d: non-finite %s" % (ids[row], name),
+                                            row=row)
+            setattr(self, name, arr)
+        _, first = np.unique(ids, return_index=True)
+        if first.size < S:
+            row = int(np.setdiff1d(np.arange(S), first)[0])
+            raise InvalidParameterError("duplicate run_id %d" % ids[row], row=row)
 
-    @property
-    def S(self):
-        return len(self.runs)
+    S = property(lambda self: self.draws.shape[0])
+    M = property(lambda self: self.draws.shape[1])
+    d_theta = property(lambda self: self.draws.shape[2])
+    d_y = property(lambda self: self.y.shape[1])
 
     @property
     def has_densities(self):
-        return all(r.log_p is not None and r.log_q is not None for r in self.runs)
+        return self.log_p is not None and self.log_q is not None
+
+    def take(self, idx):
+        """The table of the runs at positions idx (an index array or a slice)."""
+        log_p, log_q = (None if a is None else a[idx] for a in (self.log_p, self.log_q))
+        return SimulationTable(self.theta[idx], self.y[idx], self.draws[idx], log_p, log_q,
+                               self.run_ids[idx], self.provenance)
 
 
 def exact_gaussian_posterior(y, sigma2):
@@ -268,7 +259,7 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     2d + M*d values per substream: theta, the y noise, then the draws'
     innovations); the arithmetic is batched over runs and gives the same
     bits as building exact_gaussian_posterior / corrupt / generate_ar1_draws
-    for each run.  Every run's theta and draws are views into one
+    for each run.  The table's theta and draws are views into one
     (S, M+2, d) buffer.
     """
     if d < 1 or S < 1 or M < 1:
@@ -307,13 +298,9 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     if attach_densities:
         log_p = _isotropic_logpdf(occupants, mean_p, sd_p)
         log_q = _isotropic_logpdf(occupants, mean_q, sd_q)
-    runs = [SimulationRun(i, occupants[i, 0], y[i], draws[i],
-                          None if log_p is None else log_p[i],
-                          None if log_q is None else log_q[i])
-            for i in range(S)]
     prov = ("gaussian d=%d S=%d M=%d sigma2=%g bias=%g scale=%g rho=%g seed=%d"
             % (d, S, M, sigma2, c.bias, c.variance_scale, rho, seed))
-    return SimulationTable(runs=runs, d_theta=d, d_y=d, M=M, provenance=prov)
+    return SimulationTable(occupants[:, 0], y, draws, log_p, log_q, provenance=prov)
 
 
 def write_table(table, path):
@@ -321,75 +308,95 @@ def write_table(table, path):
 
     The written file is re-parsed as a self-check before returning.
     """
+    names = [name for name in ("theta", "y", "draws", "log_p", "log_q")
+             if getattr(table, name) is not None]
+    columns = [getattr(table, name).tolist() for name in names]
     with open(path, "w") as fh:
         header = {"d_theta": table.d_theta, "d_y": table.d_y, "M": table.M, "S": table.S}
         fh.write(json.dumps(header) + "\n")
-        for run in table.runs:
-            rec = {
-                "run_id": int(run.run_id),
-                "theta": run.theta.tolist(),
-                "y": run.y.tolist(),
-                "draws": run.draws.tolist(),
-            }
-            if run.log_p is not None:
-                rec["log_p"] = run.log_p.tolist()
-            if run.log_q is not None:
-                rec["log_q"] = run.log_q.tolist()
-            fh.write(json.dumps(rec) + "\n")
-    reread = read_table(path)
-    if reread.S != table.S:
-        raise TableFormatError("self-check failed: wrote %d runs, reread %d"
-                               % (table.S, reread.S))
+        for run_id, *values in zip(table.run_ids.tolist(), *columns):
+            fh.write(json.dumps({"run_id": run_id, **dict(zip(names, values))}) + "\n")
+    read_table(path)  # the self-check; it also checks the run count against S
+
+
+def _json_object(raw, what, lineno):
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise TableFormatError("invalid JSON: %s" % exc, line=lineno) from exc
+    if not isinstance(obj, dict):
+        raise TableFormatError("%s is not a JSON object" % what, line=lineno)
+    return obj
+
+
+def _numbers(value, shape, literal):
+    """`value` as an array of numbers of the given shape, or None."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    # numpy reads a JSON true or false among numbers as 1.0 or 0.0
+    bools = literal and any(type(v) is bool for v in np.asarray(value, dtype=object).flat)
+    return arr if arr.dtype.kind in "iuf" and arr.shape == shape and not bools else None
 
 
 def read_table(path):
-    """Parse a JSONL table; schema violations are reported with line numbers."""
-    runs = []
+    """Parse a JSONL table; schema violations are reported with line numbers.
+
+    Records are written straight into preallocated (S, ...) arrays; blank
+    lines are skipped.  log_p / log_q are on every record or on none.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise TableFormatError("empty file", line=1)
+    header = _json_object(lines[0], "header", 1)
+    for key, low in (("d_theta", 1), ("d_y", 1), ("M", 1), ("S", 0)):
+        value = header.get(key)
+        if not (type(value) is int and value >= low):
+            got = json.dumps(value) if key in header else "nothing"
+            raise TableFormatError("header field %r must be an integer >= %d, got %s"
+                                   % (key, low, got), line=1)
+    d_theta, d_y, M, S = (header[k] for k in ("d_theta", "d_y", "M", "S"))
+    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2)
+               if raw.strip()]
+    if len(records) != S:
+        raise TableFormatError("header declares S=%d but found %d runs"
+                               % (S, len(records)), line=1)
+    shapes = {"theta": (d_theta,), "y": (d_y,), "draws": (M, d_theta),
+              "log_p": (M + 1,), "log_q": (M + 1,)}
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TableFormatError("invalid JSON: %s" % exc, line=1) from exc
-    for key in ("d_theta", "d_y", "M", "S"):
-        if key not in header:
-            raise TableFormatError("header missing field %r" % key, line=1)
-    d_theta, d_y, M, S = (int(header[k]) for k in ("d_theta", "d_y", "M", "S"))
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TableFormatError("invalid JSON: %s" % exc, line=lineno) from exc
+        out = {name: np.empty((S,) + shape) for name, shape in shapes.items()}
+    except (ValueError, MemoryError) as exc:
+        raise TableFormatError("header sizes too large: %s" % exc, line=1) from exc
+    run_ids = np.empty(S, dtype=np.int64)
+    present = None  # the array fields of the first record
+    for i, (lineno, raw) in enumerate(records):
+        rec = _json_object(raw, "record", lineno)
         for key in ("run_id", "theta", "y", "draws"):
             if key not in rec:
                 raise TableFormatError("record missing field %r" % key, line=lineno)
         rid = rec["run_id"]
-        theta = np.asarray(rec["theta"], dtype=float)
-        y = np.asarray(rec["y"], dtype=float)
-        draws = np.asarray(rec["draws"], dtype=float)
-        if theta.shape != (d_theta,):
-            raise TableFormatError("run %s: theta has length %d, expected %d"
-                                   % (rid, theta.size, d_theta), line=lineno)
-        if y.shape != (d_y,):
-            raise TableFormatError("run %s: y has length %d, expected %d"
-                                   % (rid, y.size, d_y), line=lineno)
-        if draws.ndim != 2 or draws.shape != (M, d_theta):
-            raise TableFormatError("run %s: draws have shape %s, expected (%d, %d)"
-                                   % (rid, draws.shape, M, d_theta), line=lineno)
-        log_p = np.asarray(rec["log_p"], dtype=float) if "log_p" in rec else None
-        log_q = np.asarray(rec["log_q"], dtype=float) if "log_q" in rec else None
-        for name, arr in (("log_p", log_p), ("log_q", log_q)):
-            if arr is not None and arr.shape != (M + 1,):
-                raise TableFormatError("run %s: %s has length %d, expected %d"
-                                       % (rid, name, arr.size, M + 1), line=lineno)
-        try:
-            runs.append(SimulationRun(rid, theta, y, draws, log_p, log_q))
-        except InvalidParameterError as exc:
-            raise TableFormatError(str(exc), line=lineno) from exc
-    if len(runs) != S:
-        raise TableFormatError("header declares S=%d but found %d runs" % (S, len(runs)))
-    return SimulationTable(runs=runs, d_theta=d_theta, d_y=d_y, M=M)
+        if not (type(rid) is int and -2**63 <= rid < 2**63):  # bools are not ints here
+            raise TableFormatError("run_id must be a 64-bit integer, got %r" % (rid,),
+                                   line=lineno)
+        run_ids[i] = rid
+        names = [name for name in shapes if name in rec]
+        present = present or names
+        if names != present:
+            raise TableFormatError("run %d has fields %s, the first run %s: log_p and "
+                                   "log_q go on every run or on none"
+                                   % (rid, names, present), line=lineno)
+        for name in names:
+            # checked before assignment, which would broadcast a short row
+            arr = _numbers(rec[name], shapes[name], "true" in raw or "false" in raw)
+            if arr is None:
+                raise TableFormatError("run %d: %s must be numbers of shape %s"
+                                       % (rid, name, shapes[name]), line=lineno)
+            out[name][i] = arr
+    log_p, log_q = (out[n] if n in (present or ()) else None for n in ("log_p", "log_q"))
+    try:
+        return SimulationTable(out["theta"], out["y"], out["draws"], log_p, log_q, run_ids)
+    except InvalidParameterError as exc:
+        line = None if exc.row is None else records[exc.row][0]
+        raise TableFormatError(str(exc), line=line) from exc

@@ -79,8 +79,8 @@ def test_criterion_03_divergence_recovery():
     settings = clf.TrainSettings(learning_rate=0.01, epochs=60, seed=32,
                                  minibatch_size=1024, patience=10,
                                  weight_scheme=clf.balanced_binary(5))
-    model_cfg_batches = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_FULL, cfg)]
-    model_cfg = clf.config_for_batches(model_cfg_batches, hidden_sizes=(32,))
+    model_cfg = clf.config_for_table(table, lm.MappingKind.BINARY_FULL, cfg,
+                                     hidden_sizes=(32,))
     report, _, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg,
                                    model_cfg=model_cfg, settings=settings,
                                    B=200, R=500)
@@ -113,8 +113,8 @@ def test_criterion_04_big_m_convergence():
         settings = clf.TrainSettings(learning_rate=0.01, epochs=30, seed=s_pipe,
                                      minibatch_size=512, patience=6,
                                      val_fraction=0.5)
-        probe = [lm.map_run(table.runs[0], lm.MappingKind.MULTICLASS, cfg)]
-        model_cfg = clf.config_for_batches(probe, hidden_sizes=(8,))
+        model_cfg = clf.config_for_table(table, lm.MappingKind.MULTICLASS, cfg,
+                                         hidden_sizes=(8,))
         report, _, _ = dg.run_pipeline(table, lm.MappingKind.MULTICLASS, cfg,
                                        model_cfg=model_cfg, settings=settings,
                                        B=100, R=500)
@@ -230,8 +230,8 @@ def _classifier_rejects(table, seed, epochs, M):
     settings = clf.TrainSettings(learning_rate=0.01, epochs=epochs, seed=seed,
                                  minibatch_size=1024, patience=3,
                                  weight_scheme=clf.balanced_binary(M))
-    probe = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_FULL, cfg)]
-    model_cfg = clf.config_for_batches(probe, hidden_sizes=(8,))
+    model_cfg = clf.config_for_table(table, lm.MappingKind.BINARY_FULL, cfg,
+                                     hidden_sizes=(8,))
     _, test, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg,
                                  model_cfg=model_cfg, settings=settings,
                                  B=200, R=100)
@@ -266,14 +266,14 @@ def test_criterion_09_power_dominance():
         settings = clf.TrainSettings(learning_rate=0.01, epochs=20, seed=s_pipe,
                                      weight_scheme=clf.balanced_binary(10),
                                      patience=5)
-        probe = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_FULL, feat)]
-        mcfg = clf.config_for_batches(probe, hidden_sizes=(8,))
+        mcfg = clf.config_for_table(table, lm.MappingKind.BINARY_FULL, feat,
+                                    hidden_sizes=(8,))
         _, test_full, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, feat,
                                           model_cfg=mcfg, settings=settings,
                                           B=200, R=100)
         hits_full += test_full.p_value < 0.05
-        probe_r = [lm.map_run(table.runs[0], lm.MappingKind.BINARY_RANK, feat)]
-        mcfg_r = clf.config_for_batches(probe_r, hidden_sizes=(8,))
+        mcfg_r = clf.config_for_table(table, lm.MappingKind.BINARY_RANK, feat,
+                                      hidden_sizes=(8,))
         _, test_rank, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_RANK, feat,
                                           model_cfg=mcfg_r, settings=settings,
                                           B=200, R=100)
@@ -289,19 +289,19 @@ def test_criterion_09_power_dominance():
 def _prior_q_table(d, S, M, sigma2, seed):
     """Table whose draws come from the prior instead of any posterior."""
     children = np.random.SeedSequence(seed).spawn(S)
-    runs = []
+    theta, y, draws = np.empty((S, d)), np.empty((S, d)), np.empty((S, M, d))
+    log_p, log_q = np.empty((S, M + 1)), np.empty((S, M + 1))
     prior = sm.GaussianPosterior(np.zeros(d), np.eye(d))
     for i, ss in enumerate(children):
         rng = np.random.default_rng(ss)
-        theta = rng.standard_normal(d)
-        y = theta + math.sqrt(sigma2) * rng.standard_normal(d)
-        draws = prior.sample(M, rng)
-        pts = np.vstack([theta[None, :], draws])
-        post = sm.exact_gaussian_posterior(y, sigma2)
-        runs.append(sm.SimulationRun(i, theta, y, draws,
-                                     log_p=post.logpdf(pts),
-                                     log_q=prior.logpdf(pts)))
-    return sm.SimulationTable(runs=runs, d_theta=d, d_y=d, M=M)
+        theta[i] = rng.standard_normal(d)
+        y[i] = theta[i] + math.sqrt(sigma2) * rng.standard_normal(d)
+        draws[i] = prior.sample(M, rng)
+        pts = np.vstack([theta[i][None, :], draws[i]])
+        post = sm.exact_gaussian_posterior(y[i], sigma2)
+        log_p[i] = post.logpdf(pts)
+        log_q[i] = prior.logpdf(pts)
+    return sm.SimulationTable(theta, y, draws, log_p, log_q)
 
 
 def test_criterion_10_zero_waste_mcmc():

@@ -596,7 +596,7 @@ def test_second_moment_overflow_raises():
     from discal import diagnostics as dg
     t = sm.generate_gaussian_table(2, 12, 3, 1.0, sm.Corruption(bias=0.3), seed=1,
                                    attach_densities=True)
-    t.runs[0].log_p[0] = 1.5e308
+    t.log_p[0, 0] = 1.5e308
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
     batches = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
     model_cfg = clf.config_for_batches(batches, hidden_sizes=(8,))

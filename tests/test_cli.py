@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from discal import cli
+from discal import diagnostics as dg
+from discal import label_mapping as lm
 from discal import sim_model as sm
 
 
@@ -76,6 +79,39 @@ def test_diagnose_missing_table(tmp_path, capsys):
     code = run(["diagnose", "--table", str(tmp_path / "nope.jsonl")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_diagnose_malformed_table_reports_line(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    table.write_text('{"d_theta":1,"d_y":1,"M":1,"S":2}\n'
+                     '{"run_id":0,"theta":[0.0],"y":[0.0],"draws":[[0.1]]}\n'
+                     '{"run_id":1,"theta":["a"],"y":[0.0],"draws":[[0.1]]}\n')
+    code = run(["diagnose", "--table", str(table), "--epochs", "1"])
+    assert code == 1
+    assert "error: line 3: " in capsys.readouterr().err
+
+
+def test_diagnose_visual_uses_the_pipeline_mapping_seed(tmp_path):
+    # integer-valued theta and draws tie often, so the rank mapping's jitter
+    # decides ranks and the seed matters
+    t = sm.generate_gaussian_table(1, 200, 9, 1.0, sm.Corruption(), seed=5)
+    tied = sm.SimulationTable(np.round(t.theta), t.y, np.round(t.draws))
+    table = tmp_path / "tied.jsonl"
+    sm.write_table(tied, table)
+    visual = tmp_path / "visual.csv"
+    code = run(["diagnose", "--table", str(table), "--mapping", "rank",
+                "--hidden", "4", "--epochs", "1", "--B", "10", "--R", "100",
+                "--seed", "3", "--visual", str(visual)])
+    assert code == 0
+    coords = np.loadtxt(visual, delimiter=",", skiprows=1)[:, 0]
+
+    def ranks(seed):
+        batches = lm.map_table(tied, lm.MappingKind.BINARY_RANK, lm.FeatureConfig(),
+                               seed=seed)
+        return np.concatenate([b.features[:, 0] for b in batches])
+
+    np.testing.assert_array_equal(coords, ranks(dg.pipeline_seeds(3)[0]))
+    assert not np.array_equal(coords, ranks(0))
 
 
 def test_diagnose_deterministic(tmp_path):

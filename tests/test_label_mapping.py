@@ -17,10 +17,24 @@ def small_table(d=2, S=6, M=3, bias=0.0, seed=0, densities=True):
                                       attach_densities=densities)
 
 
+def run_view(table, i):
+    """Run i's fields, indexed out of the table's arrays."""
+    def row(arr):
+        return None if arr is None else arr[i]
+    return SimpleNamespace(run_id=int(table.run_ids[i]), theta=table.theta[i],
+                           y=table.y[i], draws=table.draws[i], log_p=row(table.log_p),
+                           log_q=row(table.log_q), M=table.M)
+
+
+def map_first(table, kind, cfg, seed=0):
+    """map_table's batch for a table of the first run only."""
+    return lm.map_table(table.take([0]), kind, cfg, seed)[0]
+
+
 def test_binary_full_layout():
     t = small_table()
-    run = t.runs[0]
-    b = lm.map_run(run, lm.MappingKind.BINARY_FULL, lm.FeatureConfig())
+    run = run_view(t, 0)
+    b = map_first(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig())
     assert b.kind is lm.MappingKind.BINARY_FULL
     assert b.features.shape == (4, 4)  # (theta 2 | y 2) per example
     np.testing.assert_array_equal(b.labels, [0, 1, 1, 1])
@@ -31,26 +45,26 @@ def test_binary_full_layout():
 
 def test_binary_no_y_drops_y():
     t = small_table()
-    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_NO_Y, lm.FeatureConfig())
+    b = map_first(t, lm.MappingKind.BINARY_NO_Y, lm.FeatureConfig())
     assert b.kind is lm.MappingKind.BINARY_NO_Y
     assert b.features.shape == (4, 2)
-    np.testing.assert_allclose(b.features[0], t.runs[0].theta)
+    np.testing.assert_allclose(b.features[0], t.theta[0])
 
 
 def test_linear_feature_block_order_and_names():
     t = small_table(d=1)
     cfg = lm.FeatureConfig(linear_features=("log_q", "log_p"))
-    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_FULL, cfg)
+    b = map_first(t, lm.MappingKind.BINARY_FULL, cfg)
     assert b.linear_names == ("log_q", "log_p")
-    np.testing.assert_allclose(b.linear()[:, 0], t.runs[0].log_q)
-    np.testing.assert_allclose(b.linear()[:, 1], t.runs[0].log_p)
+    np.testing.assert_allclose(b.linear()[:, 0], t.log_q[0])
+    np.testing.assert_allclose(b.linear()[:, 1], t.log_p[0])
 
 
 def test_density_features_require_densities():
     t = small_table(densities=False)
     cfg = lm.FeatureConfig(linear_features=("log_p",))
     with pytest.raises(lm.ConfigurationError):
-        lm.map_run(t.runs[0], lm.MappingKind.BINARY_FULL, cfg)
+        map_first(t, lm.MappingKind.BINARY_FULL, cfg)
 
 
 def test_unknown_linear_feature_rejected():
@@ -61,12 +75,11 @@ def test_unknown_linear_feature_rejected():
 def test_theta_subset():
     t = small_table(d=3)
     cfg = lm.FeatureConfig(theta_subset=(2,))
-    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_NO_Y, cfg)
+    b = map_first(t, lm.MappingKind.BINARY_NO_Y, cfg)
     assert b.features.shape == (4, 1)
-    np.testing.assert_allclose(b.features[0, 0], t.runs[0].theta[2])
+    np.testing.assert_allclose(b.features[0, 0], t.theta[0, 2])
     with pytest.raises(lm.ConfigurationError):
-        lm.map_run(t.runs[0], lm.MappingKind.BINARY_NO_Y,
-                   lm.FeatureConfig(theta_subset=(5,)))
+        map_first(t, lm.MappingKind.BINARY_NO_Y, lm.FeatureConfig(theta_subset=(5,)))
 
 
 def test_rank_statistic_basic():
@@ -114,20 +127,20 @@ def test_ranks_all_matches_pairwise_definition():
 
 def test_rank_mapping_layout_and_scalar_requirement():
     t = small_table(d=1, M=4)
-    b = lm.map_run(t.runs[0], lm.MappingKind.BINARY_RANK, lm.FeatureConfig())
+    b = map_first(t, lm.MappingKind.BINARY_RANK, lm.FeatureConfig())
     assert b.kind is lm.MappingKind.BINARY_RANK
     assert b.features.shape == (5, 1)
     # ranks over M+1 values are a permutation of 0..M when there are no ties
     assert sorted(b.features[:, 0].astype(int).tolist()) == [0, 1, 2, 3, 4]
     t2 = small_table(d=2)
     with pytest.raises(lm.ConfigurationError):
-        lm.map_run(t2.runs[0], lm.MappingKind.BINARY_RANK, lm.FeatureConfig())
+        map_first(t2, lm.MappingKind.BINARY_RANK, lm.FeatureConfig())
 
 
 def test_multiclass_cyclic_insertion():
     t = small_table(d=2, M=3)
-    run = t.runs[0]
-    b = lm.map_run(run, lm.MappingKind.MULTICLASS, lm.FeatureConfig())
+    run = run_view(t, 0)
+    b = map_first(t, lm.MappingKind.MULTICLASS, lm.FeatureConfig())
     K = 4
     assert b.kind is lm.MappingKind.MULTICLASS
     assert b.n_classes == K
@@ -149,7 +162,7 @@ def test_multiclass_cyclic_insertion():
 def test_multiclass_slot_views():
     t = small_table(d=1, M=2)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
-    b = lm.map_run(t.runs[0], lm.MappingKind.MULTICLASS, cfg)
+    b = map_first(t, lm.MappingKind.MULTICLASS, cfg)
     # the occupant blocks work for every mapping
     assert b.nonlinear().shape == (3, 2) and b.linear().shape == (3, 2)
     # example k's slots are the occupant rows in cyclic-insertion order k
@@ -157,7 +170,7 @@ def test_multiclass_slot_views():
     nl, lin = slots[..., :b.d_nonlinear], slots[..., b.d_nonlinear:]
     assert nl.shape == (3, 3, 2)   # (examples, slots, theta+y)
     assert lin.shape == (3, 3, 2)
-    run = t.runs[0]
+    run = run_view(t, 0)
     # example 1: slots are (draw_1, theta, draw_2)
     np.testing.assert_allclose(nl[1, 0], [run.draws[0, 0], run.y[0]])
     np.testing.assert_allclose(nl[1, 1], [run.theta[0], run.y[0]])
@@ -227,7 +240,7 @@ def test_export_examples(tmp_path):
     recs = [json.loads(line) for line in path.read_text().splitlines()]
     assert [(r["batch_id"], r["t"]) for r in recs] == [(b.batch_id, k) for b in mc
                                                      for k in range(3)]
-    run = t.runs[1]
+    run = run_view(t, 1)
     occ = [1, 2, 0]          # example 2: (draw_1, draw_2, theta)
     theta_draws = np.vstack([run.theta[None, :], run.draws])
     lin = np.column_stack([run.log_p, run.log_q])
@@ -236,8 +249,8 @@ def test_export_examples(tmp_path):
 
 
 def test_map_empty_table_rejected():
-    t = small_table(S=1)
-    t.runs = []
+    t = small_table(S=1).take(slice(0, 0))
+    assert t.S == 0
     with pytest.raises(lm.ConfigurationError):
         lm.map_table(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig())
 
@@ -279,7 +292,7 @@ def _reference_ranks(vals, rng):
     return (v.size - 1) - pos
 
 
-def reference_map_run(run, kind, cfg, rng):
+def reference_map_one_run(run, kind, cfg, rng):
     """Frozen per-run mappers: one run, one rng drawn from in mapping order.
 
     Multiclass features are the flat per-example rows
@@ -335,8 +348,8 @@ def reference_map_run(run, kind, cfg, rng):
 
 def reference_map_table(table, kind, cfg, seed):
     children = np.random.SeedSequence(seed).spawn(table.S)
-    return [reference_map_run(run, kind, cfg, np.random.default_rng(ss))
-            for run, ss in zip(table.runs, children)]
+    return [reference_map_one_run(run_view(table, i), kind, cfg, np.random.default_rng(ss))
+            for i, ss in enumerate(children)]
 
 
 def _outcome(fn):
@@ -375,10 +388,8 @@ def _assert_same_batches(got, ref, tmp_path=None):
 
 
 def _tied_table(d, S=9, M=4):
-    return sm.SimulationTable(
-        runs=[sm.SimulationRun(i, np.zeros(d), np.zeros(2), np.zeros((M, d)),
-                               log_p=np.zeros(M + 1), log_q=np.zeros(M + 1))
-              for i in range(S)], d_theta=d, d_y=2, M=M)
+    return sm.SimulationTable(np.zeros((S, d)), np.zeros((S, 2)), np.zeros((S, M, d)),
+                              log_p=np.zeros((S, M + 1)), log_q=np.zeros((S, M + 1)))
 
 
 FEATURE_SETS = ((), ("log_p", "log_q"), ("rank",), ("log_q", "rank", "log_p"))
@@ -400,7 +411,7 @@ def test_batched_mapper_matches_per_run_reference(seed, d, tmp_path):
                         ref = _outcome(lambda: reference_map_table(table, kind, cfg, seed))
                         got = _outcome(lambda: lm.map_table(table, kind, cfg, seed))
                         _assert_same_batches(got, ref, tmp_path)
-                        one = _outcome(lambda: [lm.map_run(table.runs[0], kind, cfg, seed)])
+                        one = _outcome(lambda: [map_first(table, kind, cfg, seed)])
                         _assert_same_batches(one, ref if isinstance(ref, type) else ref[:1],
                                              tmp_path)
 
@@ -417,7 +428,7 @@ def test_batched_mapper_error_types_match_reference():
         ref = _outcome(lambda: reference_map_table(table, kind, cfg, 0))
         assert ref is lm.ConfigurationError
         _assert_same_batches(_outcome(lambda: lm.map_table(table, kind, cfg, 0)), ref)
-        _assert_same_batches(_outcome(lambda: [lm.map_run(table.runs[0], kind, cfg)]), ref)
+        _assert_same_batches(_outcome(lambda: [map_first(table, kind, cfg)]), ref)
 
 
 def test_jitter_drawn_only_where_it_can_matter():

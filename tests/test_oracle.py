@@ -259,8 +259,8 @@ def _per_run_ranks(table, coordinate, seed):
     """Each run ranked on its own, with its own jitter substream."""
     children = np.random.SeedSequence(seed).spawn(table.S)
     ranks = []
-    for run, ss in zip(table.runs, children):
-        vals = np.concatenate([[run.theta[coordinate]], run.draws[:, coordinate]])
+    for theta, draws, ss in zip(table.theta, table.draws, children):
+        vals = np.concatenate([[theta[coordinate]], draws[:, coordinate]])
         jitter = np.random.default_rng(ss).uniform(0.0, lm.JITTER_SCALE, vals.shape)
         ranks.append(lm._ranks_all(vals + jitter))
     return ranks
@@ -274,9 +274,7 @@ def test_batched_sbc_ranks_match_per_run_reference(seed):
         np.testing.assert_array_equal(oracle.sbc_ranks(t, coordinate=j, seed=seed + 1),
                                       ref)
     # ties everywhere: only the per-run jitter streams decide the ranks
-    tied = sm.SimulationTable(
-        runs=[sm.SimulationRun(i, np.zeros(1), np.zeros(1), np.zeros((5, 1)))
-              for i in range(30)], d_theta=1, d_y=1, M=5)
+    tied = sm.SimulationTable(np.zeros((30, 1)), np.zeros((30, 1)), np.zeros((30, 5, 1)))
     ref = np.array([r[0] for r in _per_run_ranks(tied, 0, seed)])
     np.testing.assert_array_equal(oracle.sbc_ranks(tied, seed=seed), ref)
 

@@ -1,9 +1,12 @@
 """Tests for the simulation-table data model and Gaussian generators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from discal import sim_model as sm
@@ -106,48 +109,94 @@ def test_generate_table_determinism_and_shapes():
     t1 = sm.generate_gaussian_table(2, 4, 3, 1.0, c, seed=5, attach_densities=True)
     t2 = sm.generate_gaussian_table(2, 4, 3, 1.0, c, seed=5, attach_densities=True)
     assert t1.S == 4 and t1.M == 3 and t1.d_theta == 2 and t1.has_densities
-    for r1, r2 in zip(t1.runs, t2.runs):
-        np.testing.assert_array_equal(r1.theta, r2.theta)
-        np.testing.assert_array_equal(r1.draws, r2.draws)
-        np.testing.assert_array_equal(r1.log_p, r2.log_p)
+    assert t1.theta.shape == (4, 2) and t1.y.shape == (4, 2)
+    assert t1.draws.shape == (4, 3, 2) and t1.log_p.shape == (4, 4)
+    np.testing.assert_array_equal(t1.run_ids, np.arange(4))
+    np.testing.assert_array_equal(t1.theta, t2.theta)
+    np.testing.assert_array_equal(t1.draws, t2.draws)
+    np.testing.assert_array_equal(t1.log_p, t2.log_p)
     t3 = sm.generate_gaussian_table(2, 4, 3, 1.0, c, seed=6)
-    assert not np.array_equal(t1.runs[0].theta, t3.runs[0].theta)
+    assert not np.array_equal(t1.theta[0], t3.theta[0])
     assert not t3.has_densities
 
 
 def test_minimal_table():
     t = sm.generate_gaussian_table(1, 1, 1, 1.0, sm.Corruption(), seed=0)
-    assert t.S == 1 and t.M == 1 and t.runs[0].draws.shape == (1, 1)
+    assert t.S == 1 and t.M == 1 and t.draws.shape == (1, 1, 1)
 
 
 def test_attached_densities_are_exact():
     c = sm.Corruption(bias=0.3, variance_scale=1.5)
     t = sm.generate_gaussian_table(2, 3, 4, 2.0, c, seed=9, attach_densities=True)
-    for run in t.runs:
-        p = sm.exact_gaussian_posterior(run.y, 2.0)
+    for i in range(t.S):
+        p = sm.exact_gaussian_posterior(t.y[i], 2.0)
         q = sm.corrupt(p, c)
-        pts = np.vstack([run.theta[None, :], run.draws])
-        np.testing.assert_allclose(run.log_p, p.logpdf(pts), atol=1e-12)
-        np.testing.assert_allclose(run.log_q, q.logpdf(pts), atol=1e-12)
+        pts = np.vstack([t.theta[i][None, :], t.draws[i]])
+        np.testing.assert_allclose(t.log_p[i], p.logpdf(pts), atol=1e-12)
+        np.testing.assert_allclose(t.log_q[i], q.logpdf(pts), atol=1e-12)
 
 
 def test_run_validation():
-    with pytest.raises(sm.InvalidParameterError):
-        sm.SimulationRun(0, np.zeros(2), np.zeros(1), np.zeros((3, 1)))
-    with pytest.raises(sm.InvalidParameterError):
-        sm.SimulationRun(0, np.zeros(1), np.zeros(1), np.zeros((2, 1)),
-                         log_p=np.zeros(2))
-    with pytest.raises(sm.InvalidParameterError):
-        sm.SimulationRun(0, np.array([np.nan]), np.zeros(1), np.zeros((2, 1)))
+    # a run's draws must share theta's dimension
+    with pytest.raises(sm.InvalidParameterError, match="theta has shape"):
+        sm.SimulationTable(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 3, 1)))
+    # log densities have length M+1 per run
+    with pytest.raises(sm.InvalidParameterError, match="log_p"):
+        sm.SimulationTable(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2, 1)),
+                           log_p=np.zeros((1, 2)))
+    # M >= 1
+    with pytest.raises(sm.InvalidParameterError, match="M"):
+        sm.SimulationTable(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 0, 1)))
+    # non-finite values name the first bad run
+    theta = np.zeros((3, 1))
+    theta[1:] = np.nan
+    with pytest.raises(sm.InvalidParameterError, match="run 11: non-finite theta") as err:
+        sm.SimulationTable(theta, np.zeros((3, 1)), np.zeros((3, 2, 1)),
+                           run_ids=[10, 11, 12])
+    assert err.value.row == 1
+    log_q = np.zeros((3, 3))
+    log_q[2, 0] = np.inf
+    with pytest.raises(sm.InvalidParameterError, match="run 2: non-finite log_q"):
+        sm.SimulationTable(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 2, 1)),
+                           log_q=log_q)
 
 
 def test_table_validation():
-    r = sm.SimulationRun(0, np.zeros(1), np.zeros(1), np.zeros((2, 1)))
-    r_dup = sm.SimulationRun(0, np.ones(1), np.zeros(1), np.zeros((2, 1)))
+    # duplicate ids: the error names the id and the row of its second use
+    with pytest.raises(sm.InvalidParameterError, match="duplicate run_id 0") as err:
+        sm.SimulationTable(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 2, 1)),
+                           run_ids=[0, 5, 0])
+    assert err.value.row == 2
+    # dimension mismatches between theta, y and draws
     with pytest.raises(sm.InvalidParameterError):
-        sm.SimulationTable(runs=[r, r_dup], d_theta=1, d_y=1, M=2)
+        sm.SimulationTable(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2, 1)))
     with pytest.raises(sm.InvalidParameterError):
-        sm.SimulationTable(runs=[r], d_theta=2, d_y=1, M=2)
+        sm.SimulationTable(np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((2, 2, 1)))
+    with pytest.raises(sm.InvalidParameterError):
+        sm.SimulationTable(np.zeros(1), np.zeros(1), np.zeros((2, 1)))
+    # ids are S integers
+    with pytest.raises(sm.InvalidParameterError, match="run_ids"):
+        sm.SimulationTable(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2, 1)),
+                           run_ids=[0.5, 1.5])
+    with pytest.raises(sm.InvalidParameterError, match="run_ids"):
+        sm.SimulationTable(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2, 1)),
+                           run_ids=[0])
+    # an empty table is valid; the sizes come from the shapes
+    empty = sm.SimulationTable(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 3, 2)))
+    assert (empty.S, empty.M, empty.d_theta, empty.d_y) == (0, 3, 2, 1)
+
+
+def test_take_selects_runs():
+    t = sm.generate_gaussian_table(2, 5, 3, 1.0, sm.Corruption(bias=0.2), seed=4,
+                                   attach_densities=True)
+    sub = t.take([3, 1])
+    np.testing.assert_array_equal(sub.run_ids, [3, 1])
+    for name in ("theta", "y", "draws", "log_p", "log_q"):
+        np.testing.assert_array_equal(getattr(sub, name), getattr(t, name)[[3, 1]])
+    assert t.take(slice(0, 0)).S == 0
+    assert t.take([0]).has_densities
+    bare = sm.generate_gaussian_table(1, 3, 2, 1.0, sm.Corruption(), seed=0)
+    assert bare.take([2]).log_p is None and not bare.take([2]).has_densities
 
 
 def test_write_read_round_trip(tmp_path):
@@ -157,10 +206,9 @@ def test_write_read_round_trip(tmp_path):
     sm.write_table(t, str(path))
     back = sm.read_table(str(path))
     assert back.S == t.S and back.M == t.M and back.d_theta == t.d_theta
-    for r1, r2 in zip(t.runs, back.runs):
-        np.testing.assert_allclose(r1.theta, r2.theta, atol=0)
-        np.testing.assert_allclose(r1.draws, r2.draws, atol=0)
-        np.testing.assert_allclose(r1.log_q, r2.log_q, atol=0)
+    np.testing.assert_array_equal(back.run_ids, t.run_ids)
+    for name in ("theta", "y", "draws", "log_p", "log_q"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(t, name))
 
 
 def test_read_table_line_numbered_errors(tmp_path):
@@ -182,6 +230,155 @@ def test_read_table_line_numbered_errors(tmp_path):
                     '{"run_id":0,"theta":[0.0,1.0],"y":[0.0],"draws":[[0.1],[0.2]]}\n')
     with pytest.raises(sm.TableFormatError, match="line 2"):
         sm.read_table(str(path))
+
+
+HEADER = '{"d_theta":1,"d_y":1,"M":2,"S":2}'
+REC0 = '{"run_id":0,"theta":[0.0],"y":[0.0],"draws":[[0.1],[0.2]]}'
+REC1 = '{"run_id":1,"theta":[0.5],"y":[1.0],"draws":[[0.3],[0.4]]}'
+DENS = ',"log_p":[0.0,0.0,0.0],"log_q":[0.0,0.0,0.0]}'
+
+# (file lines, line of the error, message pattern)
+MALFORMED = {
+    "header-string-field": (['{"d_theta":"x","d_y":1,"M":2,"S":2}', REC0, REC1], 1,
+                            "d_theta"),
+    "header-bool-field": (['{"d_theta":1,"d_y":true,"M":2,"S":2}', REC0, REC1], 1, "d_y"),
+    "header-float-field": (['{"d_theta":1,"d_y":1,"M":2.0,"S":2}', REC0, REC1], 1, "'M'"),
+    "header-zero-dimension": (['{"d_theta":0,"d_y":1,"M":2,"S":2}', REC0, REC1], 1,
+                              "d_theta"),
+    "header-negative-S": (['{"d_theta":1,"d_y":1,"M":2,"S":-1}'], 1, "'S'"),
+    "header-huge-M": (['{"d_theta":1,"d_y":1,"M":%d,"S":1}' % 10**30, REC0], 1,
+                      "too large"),
+    "header-number": (["5", REC0, REC1], 1, "header is not a JSON object"),
+    "header-list": (["[1, 2]", REC0, REC1], 1, "header is not a JSON object"),
+    "record-number": ([HEADER, REC0, "7"], 3, "record is not a JSON object"),
+    "record-string": ([HEADER, '"run"', REC1], 2, "record is not a JSON object"),
+    "theta-string": ([HEADER, REC0.replace("[0.0]", '["a"]', 1), REC1], 2, "theta"),
+    "theta-numeric-string": ([HEADER, REC0, REC1.replace("[0.5]", '["0.5"]')], 3,
+                             "theta"),
+    "draws-null": ([HEADER, REC0.replace("[0.2]", "[null]"), REC1], 2, "draws"),
+    "draws-bool-among-numbers": ([HEADER, REC0, REC1.replace("[0.4]", "[true]")], 3,
+                                 "draws"),
+    "y-object": ([HEADER, REC0.replace('"y":[0.0]', '"y":{"a":1}'), REC1], 2, "y"),
+    "draws-ragged": ([HEADER, REC0.replace("[[0.1],[0.2]]", "[[0.1],[0.2,0.3]]"),
+                      REC1], 2, "draws"),
+    "theta-broadcast": (['{"d_theta":2,"d_y":1,"M":2,"S":1}',
+                         '{"run_id":0,"theta":[0.0],"y":[0.0],"draws":[[0,0],[0,0]]}'],
+                        2, "theta"),
+    "draws-single-row": ([HEADER, REC0, REC1.replace("[[0.3],[0.4]]", "[[0.3]]")], 3,
+                         "draws"),
+    "run-id-float": ([HEADER, REC0.replace('"run_id":0', '"run_id":1.5'),
+                      REC1.replace('"run_id":1', '"run_id":1.7')], 2, "run_id"),
+    "run-id-bool": ([HEADER, REC0, REC1.replace('"run_id":1', '"run_id":true')], 3,
+                    "run_id"),
+    "run-id-string": ([HEADER, REC0.replace('"run_id":0', '"run_id":"0"'), REC1], 2,
+                      "run_id"),
+    "run-id-duplicate": ([HEADER, REC0, REC1.replace('"run_id":1', '"run_id":0')], 3,
+                         "duplicate run_id 0"),
+    "densities-on-first-only": ([HEADER, REC0[:-1] + DENS, REC1], 3, "log_p"),
+    "densities-on-second-only": ([HEADER, REC0, REC1[:-1] + DENS], 3, "log_p"),
+    "log-q-wrong-length": ([HEADER, REC0[:-1] + DENS, REC1[:-1] + DENS.replace(
+        '"log_q":[0.0,0.0,0.0]', '"log_q":[0.0,0.0]')], 3, "log_q"),
+    "nan-in-draws": ([HEADER, REC0, REC1.replace("0.4", "NaN")], 3, "non-finite draws"),
+    "overflow-in-theta": ([HEADER, REC0.replace("[0.0]", "[1e400]", 1), REC1], 2,
+                          "non-finite theta"),
+    "missing-field": ([HEADER, REC0, REC1.replace('"y":[1.0],', "")], 3, "'y'"),
+    "too-few-runs": ([HEADER, REC0], 1, "S=2"),
+    "too-many-runs": ([HEADER, REC0, REC1, REC1.replace('"run_id":1', '"run_id":2')], 1,
+                      "S=2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_read_table_rejects_malformed_file(case, tmp_path):
+    lines, line, pattern = MALFORMED[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sm.TableFormatError, match=pattern) as err:
+        sm.read_table(str(path))
+    assert err.value.line == line
+    assert str(err.value).startswith("line %d: " % line)
+
+
+def test_read_table_skips_blank_lines_and_keeps_ids(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text("\n".join([HEADER, "", REC1.replace('"run_id":1', '"run_id":-4'),
+                               "   ", REC0[:-1].replace('"run_id":0', '"run_id":9')
+                               + "}", ""]) + "\n")
+    t = sm.read_table(str(path))
+    np.testing.assert_array_equal(t.run_ids, [-4, 9])
+    np.testing.assert_array_equal(t.theta, [[0.5], [0.0]])
+    np.testing.assert_array_equal(t.draws, [[[0.3], [0.4]], [[0.1], [0.2]]])
+    assert not t.has_densities
+    # an empty table is a header with S=0 and no records
+    path.write_text('{"d_theta":2,"d_y":1,"M":3,"S":0}\n')
+    t = sm.read_table(str(path))
+    assert (t.S, t.M, t.d_theta, t.d_y) == (0, 3, 2, 1)
+
+
+_FIELDS = ("run_id", "theta", "y", "draws", "log_p", "log_q")
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A written table, one record's position and a corruption of that record."""
+    d, S, M = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    table = sm.generate_gaussian_table(d, S, M, 1.0, sm.Corruption(bias=0.2),
+                                       seed=draw(st.integers(0, 2**32 - 1)),
+                                       attach_densities=draw(st.booleans()))
+    i = draw(st.integers(0, S - 1))
+    how = draw(st.sampled_from(["length", "nan", "type", "drop"]))
+    arrays = [f for f in _FIELDS[1:] if getattr(table, f) is not None]
+    if how == "drop":
+        field = draw(st.sampled_from(_FIELDS[:4]))
+    elif how == "type":
+        field = draw(st.sampled_from(_FIELDS[:1] + tuple(arrays)))
+    else:
+        field = draw(st.sampled_from(arrays))
+    choice = draw(st.data())
+    return table, i, how, field, choice
+
+
+def _corrupt(rec, how, field, data):
+    if how == "drop":
+        del rec[field]
+        return
+    value = rec[field]
+    if how == "type":
+        bad = data.draw(st.sampled_from(["x", None, [], {"a": 1}, "1.5", 1.5]))
+        if field == "run_id":
+            rec[field] = data.draw(st.sampled_from([1.5, True, "3", None, [0]]))
+        elif bad == 1.5 or bad == []:
+            rec[field] = bad  # a scalar or an empty array: wrong shape
+        else:
+            flat = value if not isinstance(value[0], list) else value[0]
+            flat[data.draw(st.integers(0, len(flat) - 1))] = bad
+        return
+    target = value if not isinstance(value[0], list) else \
+        value[data.draw(st.integers(0, len(value) - 1))]
+    if how == "nan":
+        target[data.draw(st.integers(0, len(target) - 1))] = math.nan
+    elif isinstance(value[0], list) and data.draw(st.booleans()):
+        value.append(list(value[0]))   # one draw too many
+    elif len(target) > 1 and data.draw(st.booleans()):
+        target.pop()
+    else:
+        target.append(0.25)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(corrupted_tables())
+def test_read_table_labels_a_corrupted_record_with_its_line(tmp_path_factory, case):
+    table, i, how, field, data = case
+    path = tmp_path_factory.mktemp("prop") / "table.jsonl"
+    sm.write_table(table, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[i + 1])
+    _corrupt(rec, how, field, data)
+    lines[i + 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sm.TableFormatError) as err:
+        sm.read_table(str(path))
+    assert err.value.line == i + 2, (how, field, str(err.value))
 
 
 def test_generate_table_invalid_parameters():
@@ -244,8 +441,11 @@ def reference_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False,
             pts = np.vstack([theta[None, :], draws])
             log_p = exact.logpdf(pts)
             log_q = qpost.logpdf(pts)
-        runs.append(sm.SimulationRun(i, theta, y, draws, log_p, log_q))
-    return sm.SimulationTable(runs=runs, d_theta=d, d_y=d, M=M)
+        runs.append((theta, y, draws, log_p, log_q))
+    theta, y, draws, log_p, log_q = zip(*runs)
+    return sm.SimulationTable(np.stack(theta), np.stack(y), np.stack(draws),
+                              None if log_p[0] is None else np.stack(log_p),
+                              None if log_q[0] is None else np.stack(log_q))
 
 
 @pytest.mark.parametrize("d", [1, 4])
@@ -260,13 +460,12 @@ def test_batched_generator_matches_per_run_reference(d, rho, corruption):
             ref = reference_gaussian_table(d, 40, 13, 0.8, corruption, seed=seed,
                                            attach_densities=densities, rho=rho)
             assert new.S == ref.S and new.has_densities == densities
-            for a, b in zip(new.runs, ref.runs):
-                assert a.run_id == b.run_id
-                np.testing.assert_array_equal(a.theta, b.theta)
-                np.testing.assert_array_equal(a.y, b.y)
-                np.testing.assert_array_equal(a.draws, b.draws)
-                if densities:
-                    np.testing.assert_allclose(a.log_p, b.log_p, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(a.log_q, b.log_q, rtol=0, atol=1e-12)
-                else:
-                    assert a.log_p is None and a.log_q is None
+            np.testing.assert_array_equal(new.run_ids, ref.run_ids)
+            np.testing.assert_array_equal(new.theta, ref.theta)
+            np.testing.assert_array_equal(new.y, ref.y)
+            np.testing.assert_array_equal(new.draws, ref.draws)
+            if densities:
+                np.testing.assert_allclose(new.log_p, ref.log_p, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(new.log_q, ref.log_q, rtol=0, atol=1e-12)
+            else:
+                assert new.log_p is None and new.log_q is None
