@@ -133,7 +133,8 @@ def cmd_diagnose(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        json.loads(open(args.out).read())  # self-check
+        with open(args.out) as fh:
+            json.load(fh)  # self-check
     if args.visual:
         # the rows the model was scored on, mapped with run_pipeline's seed
         batches = lm.map_table(table, kind, cfg, seed=dg.pipeline_seeds(args.seed)[0])

@@ -113,6 +113,9 @@ class SimulationTable:
     log_q, when present, are (S, M+1): log p(theta|y) and log q(theta|y)
     at [theta, draw_1, ..., draw_M], each up to an additive constant shared
     within the run.  run_ids are unique integers, arange(S) by default.
+    The table keeps read-only views of the arrays it validated, so a later
+    write raises instead of slipping past validation; the caller's own
+    arrays stay writeable.
     """
 
     theta: np.ndarray
@@ -154,6 +157,12 @@ class SimulationTable:
         if first.size < S:
             row = int(np.setdiff1d(np.arange(S), first)[0])
             raise InvalidParameterError("duplicate run_id %d" % ids[row], row=row)
+        for name in ("theta", "y", "draws", "log_p", "log_q", "run_ids"):
+            arr = getattr(self, name)
+            if arr is not None:
+                view = arr.view()
+                view.flags.writeable = False
+                setattr(self, name, view)
 
     S = property(lambda self: self.draws.shape[0])
     M = property(lambda self: self.draws.shape[1])

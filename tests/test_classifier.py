@@ -1,5 +1,7 @@
 """Tests for the classifier core: forward passes, gradients, training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -596,7 +598,9 @@ def test_second_moment_overflow_raises():
     from discal import diagnostics as dg
     t = sm.generate_gaussian_table(2, 12, 3, 1.0, sm.Corruption(bias=0.3), seed=1,
                                    attach_densities=True)
-    t.log_p[0, 0] = 1.5e308
+    log_p = t.log_p.copy()
+    log_p[0, 0] = 1.5e308  # finite, so the table accepts it
+    t = dataclasses.replace(t, log_p=log_p)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
     batches = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
     model_cfg = clf.config_for_batches(batches, hidden_sizes=(8,))

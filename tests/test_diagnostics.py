@@ -1,9 +1,12 @@
 """Tests for the diagnostics pipeline: LPD, CI, permutation test, exports."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discal import classifier as clf
 from discal import diagnostics as dg
@@ -132,6 +135,91 @@ def test_permutation_test_unequal_batch_sizes():
         dg.permutation_test(model, trimmed, B=300, seed=7)
 
 
+def loop_lpds(L_raw, labels_per_draw, scheme):
+    """The per-replicate reference: example_weights, a gather and a mean."""
+    logp = L_raw.reshape(-1, L_raw.shape[-1])
+    n = logp.shape[0]
+    out = []
+    for lab in labels_per_draw:
+        lab = lab.reshape(-1)
+        w = clf.example_weights(lab, scheme)
+        out.append(float(np.mean(w * logp[np.arange(n), lab])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("C, K, zeros, scheme", [
+    (2, 7, 1, clf.UNWEIGHTED),
+    (2, 7, 1, clf.balanced_binary(6)),
+    (5, 5, None, clf.UNWEIGHTED),
+    (2, 6, 2, clf.balanced_binary(4)),
+])
+def test_gathered_replicates_match_the_loop(C, K, zeros, scheme):
+    # fixed draws, both as the gather sees them and as the labels they give
+    rng = np.random.default_rng(C * 100 + K)
+    S, n_draws = 40, 25
+    L_raw = np.log(rng.dirichlet(np.ones(C), size=S * K)).reshape(S, K, C)
+    L = L_raw * clf.example_weights(np.arange(C), scheme)
+    if zeros is None:
+        lab = np.argsort(rng.random((S, K)), axis=1)
+    else:
+        lab = np.ones((S, K), dtype=int)
+        lab[:, :zeros] = 0
+        lab = rng.permuted(lab, axis=1)
+    perms = dg._draw_permutations(rng, (n_draws, S, K))
+    moved = np.empty((n_draws, S, K), dtype=int)
+    np.put_along_axis(moved, perms, np.broadcast_to(lab, moved.shape), axis=2)
+    np.testing.assert_allclose(dg._permuted_lpds(L, lab, perms),
+                               loop_lpds(L_raw, moved, scheme), rtol=0, atol=1e-12)
+    if zeros == 1:
+        pos = rng.integers(0, K, size=(n_draws, S))
+        labels = np.ones((n_draws, S, K), dtype=int)
+        np.put_along_axis(labels, pos[:, :, None], 0, axis=2)
+        np.testing.assert_allclose(dg._permuted_lpds(L, lab, pos),
+                                   loop_lpds(L_raw, labels, scheme), rtol=0, atol=1e-12)
+
+
+def test_draw_permutations_are_uniform_permutations():
+    perms = dg._draw_permutations(np.random.default_rng(0), (6000, 3))
+    np.testing.assert_array_equal(np.sort(perms, axis=1), np.tile(np.arange(3), (6000, 1)))
+    _, counts = np.unique(perms, axis=0, return_counts=True)
+    assert counts.size == 6 and counts.min() > 900 and counts.max() < 1100
+
+
+@pytest.mark.parametrize("layout", ["binary", "multiclass", "two_zeros"])
+def test_permutation_test_observed_is_the_validation_lpd(layout):
+    kind = lm.MappingKind.MULTICLASS if layout == "multiclass" else lm.MappingKind.BINARY_FULL
+    batches = make_batches(bias=0.7, d=2, S=30, M=4, seed=2, kind=kind)
+    data = clf.arrays_from_batches(batches)
+    if layout == "two_zeros":
+        labels = data.labels.copy()
+        labels[1::data.rows.shape[1]] = 0  # row 1 of every run takes label 0 too
+        data = dataclasses.replace(data, labels=labels)
+    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
+    scheme = clf.balanced_binary(4) if layout == "binary" else clf.UNWEIGHTED
+    res = dg.permutation_test(model, data, scheme, B=300, seed=9)
+    lpd, _ = dg.lpd_val(model, data, scheme)
+    assert abs(res.lpd_observed - lpd) < 1e-12
+    assert 0.0 <= res.p_value <= 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), S=st.integers(1, 12), M=st.integers(1, 6),
+       multiclass=st.booleans(), weighted=st.booleans(), B=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_permutation_test_properties(d, S, M, multiclass, weighted, B, seed):
+    kind = lm.MappingKind.MULTICLASS if multiclass else lm.MappingKind.BINARY_FULL
+    batches = make_batches(bias=0.5, d=d, S=S, M=M, seed=seed % 1000, kind=kind)
+    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(3,)), seed=seed)
+    scheme = clf.balanced_binary(M) if weighted and not multiclass else clf.UNWEIGHTED
+    res = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
+    again = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
+    assert 0.0 <= res.p_value <= 1.0
+    assert res.p_value * B == round(res.p_value * B)
+    assert res.lpd_permuted.shape == (B,)
+    assert res.p_value == again.p_value and res.lpd_observed == again.lpd_observed
+    assert res.lpd_permuted.tobytes() == again.lpd_permuted.tobytes()
+
+
 def test_permutation_test_validation():
     batches = make_batches(S=4)
     model = oracle_weight_model(1)
@@ -158,6 +246,19 @@ def test_visual_export_layout_and_errors(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "coordinate,prediction,label"
     assert len(lines) == 21
+
+
+def test_write_visual_csv_matches_the_per_row_format(tmp_path):
+    rows = np.array([[-3.5, 1e-300, 0.0], [1e300, 0.999999999999, 1.0],
+                     [-0.0, 0.5, 1.0], [123456789012.0, 2.5e-17, 0.0],
+                     [7.0, 1.0, 1.0], [-1.2345678901234e-8, 0.3333333333333333, 0.0]])
+    path = tmp_path / "visual.csv"
+    dg.write_visual_csv(rows, str(path))
+    expected = "coordinate,prediction,label\n" + "".join(
+        "%.10g,%.10g,%d\n" % (coord, pred, int(lab)) for coord, pred, lab in rows)
+    assert path.read_bytes() == expected.encode()
+    dg.write_visual_csv(rows[:0], str(path))
+    assert path.read_text() == "coordinate,prediction,label\n"
 
 
 def test_visual_export_narrow_posterior_is_u_shaped():

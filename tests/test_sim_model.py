@@ -186,6 +186,25 @@ def test_table_validation():
     assert (empty.S, empty.M, empty.d_theta, empty.d_y) == (0, 3, 2, 1)
 
 
+def test_table_arrays_are_read_only():
+    # a write after validation raises instead of reaching mapping or training;
+    # the table holds views, so the caller's arrays stay writeable
+    theta, y, draws = np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 2, 1))
+    log_p, log_q = np.zeros((3, 3)), np.zeros((3, 3))
+    t = sm.SimulationTable(theta, y, draws, log_p, log_q, run_ids=np.arange(3))
+    for name in ("theta", "y", "draws", "log_p", "log_q", "run_ids"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(t, name)[0] = 1
+    assert np.shares_memory(t.log_p, log_p)
+    log_p[1, 0] = np.nan
+    assert theta.flags.writeable and draws.flags.writeable
+    g = sm.generate_gaussian_table(1, 12, 3, 1.0, sm.Corruption(), seed=0,
+                                   attach_densities=True)
+    with pytest.raises(ValueError, match="read-only"):
+        g.log_p[5, 0] = np.nan
+    assert not g.take([1, 2]).theta.flags.writeable
+
+
 def test_take_selects_runs():
     t = sm.generate_gaussian_table(2, 5, 3, 1.0, sm.Corruption(bias=0.2), seed=4,
                                    attach_densities=True)
