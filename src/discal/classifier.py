@@ -123,6 +123,17 @@ class TrainSettings:
             raise InvalidParameterError("learning_rate must be > 0")
         if self.epochs < 1:
             raise InvalidParameterError("epochs must be >= 1")
+        if self.minibatch_size < 1:
+            raise InvalidParameterError("minibatch_size must be >= 1")
+        if self.patience < 0:
+            raise InvalidParameterError("patience must be >= 0")
+        if not 0 <= self.val_fraction < 1:
+            raise InvalidParameterError("val_fraction must be in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise InvalidParameterError("%s must be in [0, 1)" % name)
+        if not self.adam_eps > 0:
+            raise InvalidParameterError("adam_eps must be > 0")
 
 
 class Model:
@@ -130,7 +141,8 @@ class Model:
 
     The weights, biases and w_linear are views into one flat buffer,
     `params`, in get_params() order, so an optimizer can update them all in
-    place.
+    place.  x_mean and x_scale are None only inside train, whose rows are
+    standardized already; score then takes the nonlinear block as it is.
     """
 
     SERIAL_VERSION = 1
@@ -194,7 +206,7 @@ class Model:
         return (out, cache) if keep_cache else out
 
     def score(self, x_nl, x_lin, keep_cache=False):
-        X = (x_nl - self.x_mean) / self.x_scale
+        X = x_nl if self.x_mean is None else (x_nl - self.x_mean) / self.x_scale
         if keep_cache:
             out, cache = self._mlp_forward(X, keep_cache=True)
             return out + x_lin @ self.w_linear, cache
@@ -298,9 +310,10 @@ class ExampleArrays:
             return self.x_nl, self.x_lin, run
         if self.multiclass:
             runs, run = np.unique(self.index // K, return_inverse=True)
-            block = self.rows[runs].reshape(runs.size * K, -1)
+            block = self.rows.take(runs, axis=0).reshape(runs.size * K, -1)
         else:
-            block, run = self.rows.reshape(-1, self.rows.shape[-1])[self.index], None
+            block = self.rows.reshape(-1, self.rows.shape[-1]).take(self.index, axis=0)
+            run = None
         return block[:, :self.d], block[:, self.d:], run
 
 
@@ -355,10 +368,20 @@ def class_log_probs(model, data):
 
 
 def loss(model, batch_set, weight_scheme=UNWEIGHTED):
-    """Mean weighted negative log predicted probability of the true label."""
+    """Mean weighted negative log predicted probability of the true label.
+
+    Every multiclass example of a run has the loss -log softmax(s_run)[0],
+    theta's share of its run's K occupant scores, so that is taken once per
+    distinct run and indexed by run.
+    """
     data = arrays_from_batches(batch_set)
     w = example_weights(data.labels, weight_scheme)
-    logp = class_log_probs(model, data)[np.arange(len(data.labels)), data.labels]
+    if data.multiclass:
+        x_nl, x_lin, run = data.scored_rows()
+        occupant_scores = model.score(x_nl, x_lin).reshape(-1, data.n_classes)
+        logp = _clamped_log(_softmax(occupant_scores)[:, 0])[run]
+    else:
+        logp = class_log_probs(model, data)[np.arange(len(data.labels)), data.labels]
     return float(-np.mean(w * logp))
 
 
@@ -417,10 +440,12 @@ def train(train_batches, config, settings):
     A fraction of the training *batches* (val_fraction, floor rule) is held
     out for early stopping; the returned model carries the parameters with
     the best held-out loss, or the final parameters when no hold-out exists.
-    A non-finite parameter update (from a non-finite gradient or an
-    overflowing step), a non-finite second moment or a non-finite epoch
-    loss raises TrainingDivergedError; an update is checked before it
-    reaches the parameters.
+    The nonlinear columns of the fit and hold-out rows are standardized
+    once, in train's own copies of them, and the model gets the
+    standardizer after the last step.  A non-finite parameter update (from
+    a non-finite gradient or an overflowing step), a non-finite second
+    moment or a non-finite epoch loss raises TrainingDivergedError; an
+    update is checked before it reaches the parameters.
     """
     if not train_batches:
         raise InvalidParameterError("empty training set")
@@ -430,17 +455,25 @@ def train(train_batches, config, settings):
     order = rng.permutation(len(train_batches))
     hold = [train_batches[i] for i in order[:n_hold]]
     fit = [train_batches[i] for i in order[n_hold:]]
-    if not fit:
-        fit, hold = hold, []
+    # arrays_from_batches stacks a list into new rows, so the in-place
+    # standardizing below leaves the caller's batches alone
     fit_data = arrays_from_batches(fit)
     hold_data = arrays_from_batches(hold) if hold else None
 
     model = Model(config, seed=rng.integers(2**31))
+    standardizer = (model.x_mean, model.x_scale)
     if settings.standardize and config.input_dim > 0:
         mean = fit_data.x_nl.mean(axis=0)
         scale = fit_data.x_nl.std(axis=0)
         scale[scale == 0.0] = 1.0
-        model.set_standardizer(mean, scale)
+        standardizer = (mean, scale)
+        for data in (fit_data, hold_data):
+            if data is not None:
+                data.x_nl -= mean
+                data.x_nl /= scale
+    # the rows are standardized already: score takes them as they are until
+    # the standardizer is attached after the last step
+    model.x_mean = model.x_scale = None
 
     # Adam, in place on the live parameter buffer; each line keeps the
     # operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
@@ -448,14 +481,14 @@ def train(train_batches, config, settings):
     params = model.params
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    step_size = np.empty_like(params)
-    denom = np.empty_like(params)
+    scratch = np.empty((2, params.size))
+    step_size, denom = scratch
     b1, b2 = settings.beta1, settings.beta2
     step = 0
     best_loss, best_params = np.inf, None
     stale = 0
     n = len(fit_data.labels)
-    bs = max(1, min(settings.minibatch_size, n))
+    bs = min(settings.minibatch_size, n)
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
         perm = rng.permutation(n)
@@ -479,7 +512,7 @@ def train(train_batches, config, settings):
             # step_size is non-finite whenever g is and when lr*mhat
             # overflows; denom is when g*g overflows, which would leave
             # a zero step and freeze the parameter
-            if not (np.all(np.isfinite(step_size)) and np.all(np.isfinite(denom))):
+            if not np.isfinite(scratch).all():
                 raise TrainingDivergedError(epoch)
             params -= step_size
         check = loss(model, hold_data if hold_data is not None else fit_data, scheme)
@@ -495,6 +528,7 @@ def train(train_batches, config, settings):
                     break
     if best_params is not None:
         model.set_params(best_params)
+    model.set_standardizer(*standardizer)
     return model
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,6 +24,8 @@ MAPPING_NAMES = {
 }
 
 FEATURE_NAMES = {"logp": "log_p", "logq": "log_q", "rank": "rank"}
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _int_list(text):
@@ -189,6 +192,22 @@ def _benchmark_cell(params):
             (label, "sbc", rej_sbc / a.repetitions, a.repetitions)]
 
 
+@contextlib.contextmanager
+def _blas_pinned_for_children():
+    """Set each BLAS thread variable the user left unset to 1 inside the block.
+
+    Processes started inside the block inherit the setting; this process's
+    BLAS is loaded already and keeps its threads.
+    """
+    unset = [var for var in BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
 def cmd_benchmark(args):
     cells = _parse_grid(args.grid)
     args_dict = dict(d=args.d, S=args.S, M=args.M, sigma2=args.sigma2,
@@ -199,9 +218,14 @@ def cmd_benchmark(args):
             for (label, corr), ss in zip(cells, seeds)]
     workers = int(os.environ.get("DISCAL_WORKERS", "1"))
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned, not forked: a worker imports numpy afresh, after the
+        # thread variables are set, so workers do not oversubscribe the cores
+        spawn = multiprocessing.get_context("spawn")
+        with _blas_pinned_for_children(), \
+                ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(_benchmark_cell, jobs))
     else:
         results = [_benchmark_cell(job) for job in jobs]

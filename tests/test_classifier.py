@@ -162,6 +162,21 @@ def test_settings_validation():
         clf.TrainSettings(epochs=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("minibatch_size", 0), ("minibatch_size", -5), ("patience", -1),
+    ("val_fraction", -0.5), ("val_fraction", 1.0), ("beta1", -0.1), ("beta1", 1.0),
+    ("beta2", 1.5), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+])
+def test_settings_reject_out_of_range_values(field, value):
+    with pytest.raises(sm.InvalidParameterError, match=field):
+        clf.TrainSettings(**{field: value})
+
+
+def test_settings_accept_the_range_edges():
+    clf.TrainSettings(minibatch_size=1, patience=0, val_fraction=0.0, beta1=0.0,
+                      beta2=0.0, adam_eps=1e-300)
+
+
 def test_per_example_forward_matches_class_log_probs():
     # each example scored on its own through the forward pass that defines
     # its head: a binary row, or a multiclass example's K slot rows
@@ -441,6 +456,41 @@ def test_train_matches_frozen_reference(case, seed):
     np.testing.assert_array_equal(model.x_scale, ref.x_scale)
 
 
+def test_train_standardizes_its_own_copy_once():
+    batches = make_batches(lm.MappingKind.BINARY_FULL, S=20, bias=0.5, seed=4)
+    before = [b.features.copy() for b in batches]
+    cfg = clf.config_for_batches(batches, hidden_sizes=(5,))
+    model = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0))
+    # the caller's batches are untouched
+    for b, want in zip(batches, before):
+        np.testing.assert_array_equal(b.features, want)
+    # the standardizer is that of the fit rows: here all batches, in the
+    # order train's seeded shuffle puts them
+    order = np.random.default_rng(1).permutation(len(batches))
+    x_nl = clf.arrays_from_batches([batches[i] for i in order]).x_nl
+    np.testing.assert_array_equal(model.x_mean, x_nl.mean(axis=0))
+    np.testing.assert_array_equal(model.x_scale, x_nl.std(axis=0))
+    data = clf.arrays_from_batches(batches)
+    clone = clf.model_from_json(clf.model_to_json(model))
+    np.testing.assert_array_equal(clf.class_log_probs(clone, data),
+                                  clf.class_log_probs(model, data))
+
+    # without standardizing the model gets the identity standardizer and
+    # scores the raw inputs; that round-trips
+    raw = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0,
+                                                    standardize=False))
+    np.testing.assert_array_equal(raw.x_mean, np.zeros(cfg.input_dim))
+    np.testing.assert_array_equal(raw.x_scale, np.ones(cfg.input_dim))
+    ref = ReferenceModel(cfg, seed=0)
+    ref.set_params(raw.get_params())
+    mc, ref_nl, ref_lin, _ = reference_arrays(batches)
+    np.testing.assert_array_equal(clf.class_log_probs(raw, data),
+                                  reference_class_log_probs(ref, mc, ref_nl, ref_lin))
+    clone = clf.model_from_json(clf.model_to_json(raw))
+    np.testing.assert_array_equal(clf.class_log_probs(clone, data),
+                                  clf.class_log_probs(raw, data))
+
+
 def _recording_score(model):
     """Record the row count of every scoring pass of `model`."""
     rows, real = [], model.score
@@ -519,6 +569,32 @@ def test_multiclass_gradient_matches_per_slot_reference(activation):
             assert err <= 1e-13 * np.max(np.abs(want)), (name, scheme, err)
     full = clf.gradient(model, batches, clf.UNWEIGHTED)
     np.testing.assert_array_equal(full, clf.gradient(model, data, clf.UNWEIGHTED))
+
+
+def test_multiclass_loss_per_run_matches_per_example_reference():
+    M = 4
+    batches = make_batches(lm.MappingKind.MULTICLASS, d=2, S=10, M=M, bias=0.5, seed=6)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(6, 3))
+    model = clf.Model(cfg, seed=2)
+    rng = np.random.default_rng(3)
+    model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
+    ref = ReferenceModel(cfg, seed=0)
+    ref.set_params(model.get_params())
+    data = clf.arrays_from_batches(batches)
+    mc, x_nl, x_lin, labels = reference_arrays(batches)
+    N = labels.size
+    subsets = {
+        "whole runs": (np.arange(N), 10),
+        "partial run": (np.arange(2, 5), 1),
+        "repeated runs": (np.array([7, 3, 8, 6, 21, 0, 9, 22, 5]), 3),   # runs 1, 0, 4, 1
+    }
+    for name, (idx, n_runs) in subsets.items():
+        scored = _recording_score(model)
+        got = clf.loss(model, data.take(idx))
+        want = reference_loss(ref, (mc, x_nl[idx], x_lin[idx], labels[idx]), clf.UNWEIGHTED)
+        assert abs(got - want) <= 1e-12, (name, got, want)
+        assert scored == [n_runs * (M + 1)], name     # each distinct run once
+        del model.score
 
 
 def test_get_params_returns_a_copy_of_the_live_buffer():

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,6 +144,43 @@ def test_benchmark(tmp_path, capsys):
     for r in rows:
         assert 0.0 <= float(r[2]) <= 1.0
     assert "rejection rate" in capsys.readouterr().out
+
+
+def test_benchmark_workers_write_the_serial_csv(tmp_path, monkeypatch):
+    argv = ["benchmark", "--d", "1", "--S", "30", "--M", "3",
+            "--grid", "bias:1.0,var:2", "--repetitions", "2", "--epochs", "1",
+            "--B", "20", "--seed", "5"]
+    texts = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DISCAL_WORKERS", workers)
+        out = tmp_path / ("bench-%s.csv" % workers)
+        assert run(argv + ["--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) == 5
+
+
+def test_benchmark_workers_get_one_blas_thread_unless_set(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    spawn = multiprocessing.get_context("spawn")
+    with cli._blas_pinned_for_children():
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            seen = list(pool.map(os.getenv, cli.BLAS_THREAD_VARS, timeout=60))
+    assert seen == ["1", "1", "3"]
+    # this process's environment is as it was
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+def test_diagnose_rejects_bad_minibatch(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "10", "--M", "2", "--seed", "0", "--out", str(table)])
+    code = run(["diagnose", "--table", str(table), "--minibatch", "0", "--epochs", "1"])
+    assert code == 1
+    assert "error: minibatch_size must be >= 1" in capsys.readouterr().err
 
 
 def test_benchmark_bad_grid(tmp_path, capsys):
