@@ -155,8 +155,12 @@ def _parse_grid(text):
         item = item.strip()
         if not item:
             continue
-        kind, _, value = item.partition(":")
-        value = float(value)
+        kind, _, number = item.partition(":")
+        try:
+            value = float(number)
+        except ValueError:
+            raise lm.ConfigurationError("grid cell %r: %r is not a number"
+                                        % (item, number)) from None
         if kind == "bias":
             cells.append(("bias=%g" % value, sm.Corruption(bias=value)))
         elif kind == "var":
@@ -210,13 +214,19 @@ def _blas_pinned_for_children():
 
 def cmd_benchmark(args):
     cells = _parse_grid(args.grid)
+    if args.repetitions < 1:
+        raise sm.InvalidParameterError("--repetitions must be >= 1")
+    text = os.environ.get("DISCAL_WORKERS", "1")
+    workers = int(text) if text.strip().isdecimal() else 0
+    if workers < 1:
+        raise sm.InvalidParameterError("DISCAL_WORKERS must be an integer >= 1, got %r"
+                                       % text)
     args_dict = dict(d=args.d, S=args.S, M=args.M, sigma2=args.sigma2,
                      repetitions=args.repetitions, alpha=args.alpha,
                      B=args.B, epochs=args.epochs)
     seeds = np.random.SeedSequence(args.seed).spawn(len(cells))
     jobs = [(label, corr, args_dict, int(ss.generate_state(1)[0]))
             for (label, corr), ss in zip(cells, seeds)]
-    workers = int(os.environ.get("DISCAL_WORKERS", "1"))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -189,6 +189,46 @@ def test_benchmark_bad_grid(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_benchmark_bad_grid_value(tmp_path, capsys):
+    code = run(["benchmark", "--grid", "bias:x", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error: grid cell 'bias:x': 'x' is not a number" in capsys.readouterr().err
+
+
+def test_benchmark_rejects_zero_repetitions(tmp_path, capsys):
+    code = run(["benchmark", "--grid", "bias:1", "--repetitions", "0",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error: --repetitions must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2", ""])
+def test_benchmark_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("DISCAL_WORKERS", workers)
+    code = run(["benchmark", "--grid", "bias:1", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error: DISCAL_WORKERS must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_diagnose_prints_the_ci_level_it_used(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])
+    report = tmp_path / "report.json"
+    code = run(["diagnose", "--table", str(table), "--hidden", "4", "--epochs", "1",
+                "--B", "20", "--R", "100", "--alpha", "0.2", "--out", str(report)])
+    assert code == 0
+    assert "(80% CI [" in capsys.readouterr().out
+    payload = json.loads(report.read_text())
+    assert payload["ci_level"] == 0.8
+    # a report stored without the level names none
+    del payload["ci_level"]
+    report.write_text(json.dumps(payload))
+    assert run(["report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "(CI [" in out and "%" not in out.splitlines()[0]
+
+
 def test_report_missing_file(tmp_path, capsys):
     code = run(["report", str(tmp_path / "missing.json")])
     assert code == 1

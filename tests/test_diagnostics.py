@@ -150,39 +150,61 @@ def loop_lpds(L_raw, labels_per_draw, scheme):
 @pytest.mark.parametrize("C, K, zeros, scheme", [
     (2, 7, 1, clf.UNWEIGHTED),
     (2, 7, 1, clf.balanced_binary(6)),
-    (5, 5, None, clf.UNWEIGHTED),
-    (2, 6, 2, clf.balanced_binary(4)),
 ])
 def test_gathered_replicates_match_the_loop(C, K, zeros, scheme):
     # fixed draws, both as the gather sees them and as the labels they give
     rng = np.random.default_rng(C * 100 + K)
     S, n_draws = 40, 25
     L_raw = np.log(rng.dirichlet(np.ones(C), size=S * K)).reshape(S, K, C)
-    L = L_raw * clf.example_weights(np.arange(C), scheme)
-    if zeros is None:
-        lab = np.argsort(rng.random((S, K)), axis=1)
-    else:
-        lab = np.ones((S, K), dtype=int)
-        lab[:, :zeros] = 0
-        lab = rng.permuted(lab, axis=1)
-    perms = dg._draw_permutations(rng, (n_draws, S, K))
-    moved = np.empty((n_draws, S, K), dtype=int)
-    np.put_along_axis(moved, perms, np.broadcast_to(lab, moved.shape), axis=2)
-    np.testing.assert_allclose(dg._permuted_lpds(L, lab, perms),
-                               loop_lpds(L_raw, moved, scheme), rtol=0, atol=1e-12)
-    if zeros == 1:
-        pos = rng.integers(0, K, size=(n_draws, S))
-        labels = np.ones((n_draws, S, K), dtype=int)
-        np.put_along_axis(labels, pos[:, :, None], 0, axis=2)
-        np.testing.assert_allclose(dg._permuted_lpds(L, lab, pos),
-                                   loop_lpds(L_raw, labels, scheme), rtol=0, atol=1e-12)
+    lab = np.ones((S, K), dtype=int)
+    lab[:, :zeros] = 0
+    lab = rng.permuted(lab, axis=1)
+    c, delta, theta_at = dg._run_terms(L_raw, lab, scheme, multiclass=False)
+    pos = rng.integers(0, K, size=(n_draws, S))
+    labels = np.ones((n_draws, S, K), dtype=int)
+    np.put_along_axis(labels, pos[:, :, None], 0, axis=2)
+    np.testing.assert_allclose(dg._replicate_lpds(c, delta, pos),
+                               loop_lpds(L_raw, labels, scheme), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dg._replicate_lpds(c, delta, theta_at[None]),
+                               loop_lpds(L_raw, lab[None], scheme), rtol=0, atol=1e-12)
 
 
-def test_draw_permutations_are_uniform_permutations():
-    perms = dg._draw_permutations(np.random.default_rng(0), (6000, 3))
-    np.testing.assert_array_equal(np.sort(perms, axis=1), np.tile(np.arange(3), (6000, 1)))
-    _, counts = np.unique(perms, axis=0, return_counts=True)
-    assert counts.size == 6 and counts.min() > 900 and counts.max() < 1100
+def swap_theta(table, j):
+    """The table with theta and occupant j[s] swapped in every run s.
+
+    Occupant 0 is theta and occupant j >= 1 is draw j; log_p and log_q move
+    with their occupants.
+    """
+    runs = np.arange(table.S)
+
+    def swapped(a):
+        a = a.copy()
+        a[runs, 0], a[runs, j] = a[runs, j], a[runs, 0]
+        return a
+
+    occupants = swapped(np.concatenate([table.theta[:, None], table.draws], axis=1))
+    return sm.SimulationTable(occupants[:, 0], table.y, occupants[:, 1:],
+                              swapped(table.log_p), swapped(table.log_q), table.run_ids)
+
+
+@pytest.mark.parametrize("kind", [lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS])
+def test_a_replicate_is_the_lpd_of_a_swapped_table(kind):
+    # replicate b draws occupant j_s of each run s to play theta; moving j_s
+    # into theta's place in the table itself must give the same LPD
+    S, M, B, seed = 12, 4, 6, 3
+    table = sm.generate_gaussian_table(2, S, M, 1.0, sm.Corruption(bias=0.7), seed=5,
+                                       attach_densities=True)
+    cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
+    batches = lm.map_table(table, kind, cfg)
+    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=2)
+    scheme = clf.UNWEIGHTED if kind is lm.MappingKind.MULTICLASS else clf.balanced_binary(M)
+    res = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
+    draws = np.random.default_rng(seed).integers(0, M + 1, size=(B, S))
+    assert len({tuple(row) for row in draws}) == B
+    for b in range(B):
+        lpd, _ = dg.lpd_val(model, lm.map_table(swap_theta(table, draws[b]), kind, cfg),
+                            scheme)
+        assert abs(lpd - res.lpd_permuted[b]) < 1e-12
 
 
 @pytest.mark.parametrize("layout", ["binary", "multiclass", "two_zeros"])
@@ -190,16 +212,42 @@ def test_permutation_test_observed_is_the_validation_lpd(layout):
     kind = lm.MappingKind.MULTICLASS if layout == "multiclass" else lm.MappingKind.BINARY_FULL
     batches = make_batches(bias=0.7, d=2, S=30, M=4, seed=2, kind=kind)
     data = clf.arrays_from_batches(batches)
-    if layout == "two_zeros":
-        labels = data.labels.copy()
-        labels[1::data.rows.shape[1]] = 0  # row 1 of every run takes label 0 too
-        data = dataclasses.replace(data, labels=labels)
     model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
     scheme = clf.balanced_binary(4) if layout == "binary" else clf.UNWEIGHTED
+    if layout == "two_zeros":
+        # a binary run scores one theta; a second label-0 row is rejected
+        labels = data.labels.copy()
+        labels[1::data.rows.shape[1]] = 0  # row 1 of every run takes label 0 too
+        with pytest.raises(sm.InvalidParameterError, match="exactly one label-0 row"):
+            dg.permutation_test(model, dataclasses.replace(data, labels=labels), scheme)
+        return
     res = dg.permutation_test(model, data, scheme, B=300, seed=9)
     lpd, _ = dg.lpd_val(model, data, scheme)
     assert abs(res.lpd_observed - lpd) < 1e-12
     assert 0.0 <= res.p_value <= 1.0
+
+
+def test_permutation_test_rejects_multiclass_labels_out_of_order():
+    batches = make_batches(bias=0.7, d=2, S=10, M=4, seed=2, kind=lm.MappingKind.MULTICLASS)
+    data = clf.arrays_from_batches(batches)
+    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
+    swapped = data.take(np.arange(data.labels.size).reshape(-1, 5)[:, [1, 0, 2, 3, 4]].ravel())
+    with pytest.raises(sm.InvalidParameterError, match="labelled 0..K-1 in order"):
+        dg.permutation_test(model, swapped)
+
+
+def test_multiclass_permutation_p_is_uniform_under_the_null():
+    # a fixed model on calibrated IID tables: p <= 0.05 has probability
+    # ~0.05, so about 15 of 300 (binomial sd 3.8).  Permuting each run's
+    # labels instead of redrawing theta's occupant gave 82.
+    model, hits = None, 0
+    for i in range(300):
+        batches = make_batches(bias=0.0, d=2, S=30, M=4, seed=1000 + i,
+                               kind=lm.MappingKind.MULTICLASS)
+        if model is None:
+            model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
+        hits += dg.permutation_test(model, batches, B=99, seed=i).p_value <= 0.05
+    assert hits <= 27
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -214,7 +262,7 @@ def test_permutation_test_properties(d, S, M, multiclass, weighted, B, seed):
     res = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
     again = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
     assert 0.0 <= res.p_value <= 1.0
-    assert res.p_value * B == round(res.p_value * B)
+    assert res.p_value == round(res.p_value * B) / B  # k/B, as the nearest double
     assert res.lpd_permuted.shape == (B,)
     assert res.p_value == again.p_value and res.lpd_observed == again.lpd_observed
     assert res.lpd_permuted.tobytes() == again.lpd_permuted.tobytes()
