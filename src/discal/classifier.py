@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import label_mapping as lm
-from .label_mapping import MappingKind, _cyclic_insertion
+from .label_mapping import MappingKind
 from .sim_model import InvalidParameterError
 
 PROB_CLAMP = 1e-12
@@ -352,37 +352,42 @@ def _clamped_log(p):
 
 
 def class_log_probs(model, data):
-    """(N, K) clamped log predicted probability of every class for every example.
+    """(N, 2) clamped log predicted probability of both classes for every binary example."""
+    if data.multiclass:
+        raise InvalidParameterError("class_log_probs scores binary examples; "
+                                    "multiclass examples are scored per run by run_log_probs")
+    x_nl, x_lin, _ = data.scored_rows()
+    p1 = expit(model.score(x_nl, x_lin))
+    return _clamped_log(np.column_stack([1.0 - p1, p1]))
 
-    Multiclass data is scored once per run: every example's slot scores
-    are its run's K occupant scores in its cyclic-insertion order.
+
+def run_log_probs(model, data):
+    """(logp, run): each distinct multiclass run's K class log probabilities.
+
+    logp is (R, K), the clamped log-softmax of the K occupant scores of each
+    distinct run the examples touch, theta in column 0: row r, column j is
+    the log probability that occupant j holds theta.  run is the position
+    of each example's run among the R.  Every example of a run has its
+    label's probability at column 0, since its label is theta's slot.
     """
     x_nl, x_lin, run = data.scored_rows()
-    if not data.multiclass:
-        p1 = expit(model.score(x_nl, x_lin))
-        return _clamped_log(np.column_stack([1.0 - p1, p1]))
-    K = data.n_classes
-    occupant_scores = model.score(x_nl, x_lin).reshape(-1, K)
-    slot_occupant = _cyclic_insertion(K)[data.labels]
-    return _clamped_log(_softmax(occupant_scores[run[:, None], slot_occupant]))
+    occupant_scores = model.score(x_nl, x_lin).reshape(-1, data.n_classes)
+    return _clamped_log(_softmax(occupant_scores)), run
+
+
+def label_log_probs(model, data):
+    """(N,) clamped log predicted probability of each example's own label."""
+    if data.multiclass:
+        logp, run = run_log_probs(model, data)
+        return logp[run, 0]
+    return class_log_probs(model, data)[np.arange(data.labels.size), data.labels]
 
 
 def loss(model, batch_set, weight_scheme=UNWEIGHTED):
-    """Mean weighted negative log predicted probability of the true label.
-
-    Every multiclass example of a run has the loss -log softmax(s_run)[0],
-    theta's share of its run's K occupant scores, so that is taken once per
-    distinct run and indexed by run.
-    """
+    """Mean weighted negative log predicted probability of the true label."""
     data = arrays_from_batches(batch_set)
     w = example_weights(data.labels, weight_scheme)
-    if data.multiclass:
-        x_nl, x_lin, run = data.scored_rows()
-        occupant_scores = model.score(x_nl, x_lin).reshape(-1, data.n_classes)
-        logp = _clamped_log(_softmax(occupant_scores)[:, 0])[run]
-    else:
-        logp = class_log_probs(model, data)[np.arange(len(data.labels)), data.labels]
-    return float(-np.mean(w * logp))
+    return float(-np.mean(w * label_log_probs(model, data)))
 
 
 def gradient(model, batch_set, weight_scheme=UNWEIGHTED):
@@ -437,10 +442,15 @@ def _backprop(model, cache, x_lin, dout):
 def train(train_batches, config, settings):
     """Minibatch training with adaptive moments and early stopping.
 
-    A fraction of the training *batches* (val_fraction, floor rule) is held
-    out for early stopping; the returned model carries the parameters with
-    the best held-out loss, or the final parameters when no hold-out exists.
-    The nonlinear columns of the fit and hold-out rows are standardized
+    Each epoch visits the fit examples in a fresh random order,
+    minibatch_size at a time.  Multiclass training draws whole runs
+    instead, minibatch_size // K of them per step (at least one): a run's
+    K examples share one loss term and one scoring of its K rows, so a
+    minibatch of whole runs still estimates the same mean loss without
+    bias.  A fraction of the training *batches* (val_fraction, floor rule)
+    is held out for early stopping; the returned model carries the
+    parameters with the best held-out loss, or the final parameters when no
+    hold-out exists.  The nonlinear columns of the fit and hold-out rows are standardized
     once, in train's own copies of them, and the model gets the
     standardizer after the last step.  A non-finite parameter update (from
     a non-finite gradient or an overflowing step), a non-finite second
@@ -487,14 +497,17 @@ def train(train_batches, config, settings):
     step = 0
     best_loss, best_params = np.inf, None
     stale = 0
-    n = len(fit_data.labels)
-    bs = min(settings.minibatch_size, n)
+    K = fit_data.n_classes if fit_data.multiclass else 1
+    units = len(fit_data.labels) // K
+    per_step = max(1, min(settings.minibatch_size // K, units))
+    slots = np.arange(K)
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, bs):
-            minibatch = fit_data.take(perm[start:start + bs])
-            g = gradient(model, minibatch, scheme)
+        perm = rng.permutation(units)
+        for start in range(0, units, per_step):
+            chosen = perm[start:start + per_step]
+            idx = chosen if K == 1 else (chosen[:, None] * K + slots).ravel()
+            g = gradient(model, fit_data.take(idx), scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
             denom *= g

@@ -216,6 +216,8 @@ def cmd_benchmark(args):
     cells = _parse_grid(args.grid)
     if args.repetitions < 1:
         raise sm.InvalidParameterError("--repetitions must be >= 1")
+    if not 0 < args.alpha < 1:
+        raise sm.InvalidParameterError("--alpha must be in (0, 1), got %r" % args.alpha)
     text = os.environ.get("DISCAL_WORKERS", "1")
     workers = int(text) if text.strip().isdecimal() else 0
     if workers < 1:

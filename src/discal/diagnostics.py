@@ -45,6 +45,7 @@ class DivergenceReport:
     ci_low: float
     ci_high: float
     ci_level: float
+    ci_widened: bool
     upper_bound: float
     n_val_examples: int
 
@@ -66,9 +67,7 @@ def lpd_val(model, val_batches, weight_scheme=clf.UNWEIGHTED):
     data = clf.arrays_from_batches(val_batches)
     if len(data.labels) == 0:
         raise InvalidParameterError("empty validation set")
-    logp = clf.class_log_probs(model, data)
-    w = clf.example_weights(data.labels, weight_scheme)
-    scores = w * logp[np.arange(len(data.labels)), data.labels]
+    scores = clf.example_weights(data.labels, weight_scheme) * clf.label_log_probs(model, data)
     return float(scores.mean()), scores
 
 
@@ -105,9 +104,22 @@ def divergence_estimate(lpd, weight_scheme, class_weights, n_val_examples=0):
         ci_low=float("nan"),
         ci_high=float("nan"),
         ci_level=float("nan"),
+        ci_widened=False,
         upper_bound=offset,
         n_val_examples=n_val_examples,
     )
+
+
+def _check_bootstrap_settings(R, alpha):
+    if R < 100:
+        raise InvalidParameterError("R must be >= 100")
+    if not 0 < alpha < 1:
+        raise InvalidParameterError("alpha must be in (0, 1), got %r" % alpha)
+
+
+def _check_permutation_count(B):
+    if B < 1:
+        raise InvalidParameterError("B must be >= 1")
 
 
 def bootstrap_ci(per_example_scores, batch_ids, R=1000, alpha=0.05, seed=0, offset=0.0):
@@ -117,9 +129,10 @@ def bootstrap_ci(per_example_scores, batch_ids, R=1000, alpha=0.05, seed=0, offs
     y.  Each replicate reweights the batch-mean scores; the CI is the
     empirical (alpha/2, 1-alpha/2) quantile band of replicate means plus
     `offset` (pass the entropy offset to get a CI on the divergence scale).
+    Returns (low, high, widened); widened is True when the band excluded
+    the point estimate and was stretched to contain it.
     """
-    if R < 100:
-        raise InvalidParameterError("R must be >= 100")
+    _check_bootstrap_settings(R, alpha)
     scores = np.asarray(per_example_scores, dtype=float)
     batch_ids = np.asarray(batch_ids)
     uniq, inverse = np.unique(batch_ids, return_inverse=True)
@@ -135,7 +148,7 @@ def bootstrap_ci(per_example_scores, batch_ids, R=1000, alpha=0.05, seed=0, offs
     point = batch_means.mean() + offset
     # empirical quantiles can exclude the point estimate in pathological
     # tiny-sample cases; widen so the report invariant always holds
-    return float(min(lo, point)), float(max(hi, point))
+    return float(min(lo, point)), float(max(hi, point)), bool(lo > point or hi < point)
 
 
 # A replicate chunk keeps its (chunk, S) draws near this many elements, so
@@ -146,22 +159,22 @@ _CHUNK_ELEMENTS = 2 ** 17
 def _run_terms(logp, lab, scheme, multiclass):
     """(c, delta, theta_at): the LPD as a function of which occupants hold theta.
 
-    logp[s, k] holds the class log probabilities of example k of run s and
-    lab[s, k] its label.  With occupant j_s holding theta in each run s,
-    the mean weighted log probability of the labels is
-    (c + sum_s delta[s, j_s]) / (S * K); theta_at holds the observed j_s.
-    A binary run labels theta's row 0.  Every multiclass example of a run
-    has the probability of theta's slot among the same occupants, which is
-    log p(class j | example 0) when occupant j is theta: example 0 holds
-    the occupants in order.
+    lab[s, k] is the label of example k of run s.  A binary run labels
+    theta's row 0, and logp[s, k] holds the class log probabilities of its
+    row k.  A multiclass run's K examples all have theta's probability
+    among the same occupants, and logp[s] is its row of run_log_probs:
+    logp[s, j] is the log probability that occupant j holds theta.  With
+    occupant j_s holding theta in each run s, the mean weighted log
+    probability of the labels is (c + sum_s delta[s, j_s]) / (S * K);
+    theta_at holds the observed j_s.
     """
-    S, K, C = logp.shape
-    w = clf.example_weights(np.arange(C), scheme)
+    S, K = lab.shape
+    w = clf.example_weights(np.arange(logp.shape[-1]), scheme)
     if multiclass:
         if np.any(lab != np.arange(K)):
             raise InvalidParameterError("permutation test needs the examples of each "
                                         "multiclass run labelled 0..K-1 in order")
-        return 0.0, w.sum() * logp[:, 0, :], np.zeros(S, dtype=int)
+        return 0.0, w.sum() * logp, np.zeros(S, dtype=int)
     if np.any(np.sum(lab == 0, axis=1) != 1):
         raise InvalidParameterError("permutation test needs exactly one label-0 row "
                                     "per binary run")
@@ -183,8 +196,8 @@ def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, s
     exchangeable given y.  A replicate draws, per run, one occupant
     uniformly and scores the run as if it were theta.  The model is fixed,
     so every replicate is a gather from one (S, K) table built from one
-    matrix of log predicted probabilities, drawn in chunks whose size
-    depends only on S, so memory stays flat in B.
+    scoring pass (a multiclass run's K rows are scored once), drawn in
+    chunks whose size depends only on S, so memory stays flat in B.
 
     p = #{b : permuted LPD_b >= observed LPD} / B; ties count toward the
     permuted side.  The observed LPD is the same gather at theta, so exact
@@ -198,10 +211,8 @@ def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, s
     without exactly one label-0 row, or a multiclass run whose examples
     are not labelled 0..K-1 in order, is rejected.
     """
-    if B < 1:
-        raise InvalidParameterError("B must be >= 1")
+    _check_permutation_count(B)
     data = clf.arrays_from_batches(val_batches)
-    logp = clf.class_log_probs(model, data)
     _, inverse = np.unique(data.batch_ids, return_inverse=True)
     sizes = np.bincount(inverse)
     if np.any(sizes != sizes[0]):
@@ -209,8 +220,12 @@ def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, s
                                     "(one M per table)")
     order = np.argsort(inverse, kind="stable")
     S, K = sizes.size, int(sizes[0])
-    c, delta, theta_at = _run_terms(logp[order].reshape(S, K, -1),
-                                    data.labels[order].reshape(S, K),
+    if data.multiclass:
+        logp, run = clf.run_log_probs(model, data)
+        logp = logp[run[order[::K]]]
+    else:
+        logp = clf.class_log_probs(model, data)[order].reshape(S, K, 2)
+    c, delta, theta_at = _run_terms(logp, data.labels[order].reshape(S, K),
                                     weight_scheme, data.multiclass)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ELEMENTS // S)
@@ -267,9 +282,19 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
     """Map -> split -> train -> LPD -> divergence + CI -> permutation test.
 
     All randomness derives from settings.seed; errors carry a stage label.
+    B, R and alpha are checked before any work, under the stage that uses
+    them.
     """
     if settings is None:
         settings = clf.TrainSettings()
+    try:
+        _check_bootstrap_settings(R, alpha)
+    except InvalidParameterError as exc:
+        raise PipelineError("estimate", exc) from exc
+    try:
+        _check_permutation_count(B)
+    except InvalidParameterError as exc:
+        raise PipelineError("permutation", exc) from exc
     seed_map, seed_split, seed_train, seed_boot, seed_perm = pipeline_seeds(settings.seed)
 
     try:
@@ -297,9 +322,10 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
         report = divergence_estimate(lpd, settings.weight_scheme,
                                      empirical_class_weights(val_data),
                                      n_val_examples=scores.size)
-        lo, hi = bootstrap_ci(scores, val_data.batch_ids, R=R, alpha=alpha,
-                              seed=seed_boot, offset=report.entropy_offset)
-        report.ci_low, report.ci_high, report.ci_level = lo, hi, 1.0 - alpha
+        report.ci_low, report.ci_high, report.ci_widened = bootstrap_ci(
+            scores, val_data.batch_ids, R=R, alpha=alpha, seed=seed_boot,
+            offset=report.entropy_offset)
+        report.ci_level = 1.0 - alpha
     except Exception as exc:
         raise PipelineError("estimate", exc) from exc
     try:
@@ -319,6 +345,7 @@ def report_to_dict(report, test, config_echo=None):
         "ci_low": report.ci_low,
         "ci_high": report.ci_high,
         "ci_level": report.ci_level,
+        "ci_widened": report.ci_widened,
         "upper_bound": report.upper_bound,
         "n_val_examples": report.n_val_examples,
         "lpd_observed": test.lpd_observed,
@@ -338,6 +365,10 @@ def format_report(d):
         "validation LPD: %.6f over %d examples" % (d["lpd_val"], d["n_val_examples"]),
         "permutation p-value: %.6g  (B=%d)" % (d["p_value"], d["B"]),
     ]
+    # a report stored before the flag was recorded says nothing about it
+    if d.get("ci_widened"):
+        lines.insert(1, "note: the bootstrap band excluded the estimate; the CI "
+                        "was widened to contain it")
     if d.get("config"):
         lines.append("config: %s" % json.dumps(d["config"], sort_keys=True))
     return "\n".join(lines)

@@ -177,6 +177,16 @@ def test_settings_accept_the_range_edges():
                       beta2=0.0, adam_eps=1e-300)
 
 
+def per_example_log_probs(model, data):
+    """(N, K) log probability of every class of every example, from the
+    binary matrix or the multiclass per-run table: class c of multiclass
+    example k is slot c, which holds occupant _cyclic_insertion(K)[k, c]."""
+    if not data.multiclass:
+        return clf.class_log_probs(model, data)
+    logp, run = clf.run_log_probs(model, data)
+    return logp[run[:, None], lm._cyclic_insertion(data.n_classes)[data.labels]]
+
+
 def test_per_example_forward_matches_class_log_probs():
     # each example scored on its own through the forward pass that defines
     # its head: a binary row, or a multiclass example's K slot rows
@@ -185,19 +195,23 @@ def test_per_example_forward_matches_class_log_probs():
         cfg = clf.config_for_batches(batches, hidden_sizes=(4,))
         model = clf.Model(cfg, seed=9)
         data = clf.arrays_from_batches(batches)
-        expected = clf.class_log_probs(model, data)[np.arange(data.labels.size),
-                                                   data.labels]
+        expected = per_example_log_probs(model, data)
         got = []
         for b in batches:
-            for k, t in enumerate(b.labels):
+            for k in range(b.n_examples):
                 if kind is lm.MappingKind.MULTICLASS:
                     slots, d = reference_slots(b)[k], b.d_nonlinear
-                    p_true = clf.forward_multiclass(model, slots[:, :d], slots[:, d:])[t]
+                    probs = clf.forward_multiclass(model, slots[:, :d], slots[:, d:])
                 else:
                     p1 = clf.forward_binary(model, b.features[k])
-                    p_true = p1 if t == 1 else 1.0 - p1
-                got.append(np.log(np.clip(p_true, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
+                    probs = np.array([1.0 - p1, p1])
+                got.append(np.log(np.clip(probs, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
+        np.testing.assert_array_equal(
+            clf.label_log_probs(model, data),
+            expected[np.arange(data.labels.size), data.labels])
+    with pytest.raises(sm.InvalidParameterError, match="run_log_probs"):
+        clf.class_log_probs(model, data)
 
 
 def test_serialization_round_trip():
@@ -208,8 +222,8 @@ def test_serialization_round_trip():
     np.testing.assert_array_equal(clone.get_params(), model.get_params())
     np.testing.assert_array_equal(clone.x_mean, model.x_mean)
     data = clf.arrays_from_batches(batches)
-    np.testing.assert_allclose(clf.class_log_probs(clone, data),
-                               clf.class_log_probs(model, data), atol=0)
+    np.testing.assert_array_equal(clf.run_log_probs(clone, data)[0],
+                                  clf.run_log_probs(model, data)[0])
     with pytest.raises(sm.InvalidParameterError):
         clf.model_from_json('{"version": 99}')
 
@@ -386,11 +400,16 @@ def reference_train(batches, config, settings):
     best = (np.inf, params.copy())
     mc, x_nl, x_lin, labels = fit_data
     n = len(labels)
-    bs = max(1, min(settings.minibatch_size, n))
+    # a multiclass step takes whole runs: the K examples of run r sit at
+    # r*K .. r*K + K-1
+    K = config.class_count if mc else 1
+    runs = n // K
+    per_step = max(1, min(settings.minibatch_size // K, runs))
     for epoch in range(settings.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, bs):
-            idx = perm[start:start + bs]
+        perm = rng.permutation(runs)
+        for start in range(0, runs, per_step):
+            idx = np.concatenate([np.arange(r * K, (r + 1) * K)
+                                  for r in perm[start:start + per_step]])
             g = reference_gradient(model, (mc, x_nl[idx], x_lin[idx], labels[idx]),
                                    settings.weight_scheme)
             step += 1
@@ -456,6 +475,67 @@ def test_train_matches_frozen_reference(case, seed):
     np.testing.assert_array_equal(model.x_scale, ref.x_scale)
 
 
+def _recorded_minibatches(monkeypatch):
+    """Record the example positions of every minibatch train hands to gradient."""
+    seen, real_gradient = [], clf.gradient
+
+    def recording_gradient(model, data, scheme=clf.UNWEIGHTED):
+        seen.append(data.index.copy())
+        return real_gradient(model, data, scheme)
+
+    monkeypatch.setattr(clf, "gradient", recording_gradient)
+    return seen
+
+
+@pytest.mark.parametrize("minibatch_size", [3, 13, 40, 1000])
+def test_multiclass_minibatches_are_whole_runs(monkeypatch, minibatch_size):
+    # K = 5: 3 < K gives one run per step, 13 two runs, 40 eight, 1000 all
+    M, S, epochs = 4, 17, 3
+    batches = make_batches(lm.MappingKind.MULTICLASS, d=1, S=S, M=M, seed=2)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(3,))
+    settings = clf.TrainSettings(epochs=epochs, minibatch_size=minibatch_size, seed=4,
+                                 val_fraction=0.0)
+    seen = _recorded_minibatches(monkeypatch)
+    clf.train(batches, cfg, settings)
+    K = M + 1
+    per_step = max(1, min(minibatch_size // K, S))
+    steps = -(-S // per_step)
+    assert len(seen) == epochs * steps
+    # train's draws: the batch order, the model seed, then one run order per epoch
+    rng = np.random.default_rng(settings.seed)
+    rng.permutation(S)
+    rng.integers(2**31)
+    for epoch in range(epochs):
+        perm = rng.permutation(S)
+        covered = []
+        for step, idx in enumerate(seen[epoch * steps:(epoch + 1) * steps]):
+            runs = idx.reshape(-1, K) // K
+            # whole runs, each with its K examples in label order
+            np.testing.assert_array_equal(idx.reshape(-1, K), runs * K + np.arange(K))
+            np.testing.assert_array_equal(runs[:, 0], perm[step * per_step:(step + 1) * per_step])
+            covered.extend(runs[:, 0])
+        assert sorted(covered) == list(range(S))     # every fit run once per epoch
+
+
+def test_binary_minibatches_slice_one_example_permutation(monkeypatch):
+    batches = make_batches(lm.MappingKind.BINARY_FULL, d=1, S=9, M=3, seed=2)
+    cfg = clf.config_for_batches(batches, hidden_sizes=(3,))
+    settings = clf.TrainSettings(epochs=2, minibatch_size=5, seed=6, val_fraction=0.0)
+    seen = _recorded_minibatches(monkeypatch)
+    clf.train(batches, cfg, settings)
+    n, bs = 9 * 4, 5
+    rng = np.random.default_rng(settings.seed)
+    rng.permutation(9)
+    rng.integers(2**31)
+    want = []
+    for _ in range(settings.epochs):
+        perm = rng.permutation(n)
+        want.extend(perm[start:start + bs] for start in range(0, n, bs))
+    assert len(seen) == len(want)
+    for got, idx in zip(seen, want):
+        np.testing.assert_array_equal(got, idx)
+
+
 def test_train_standardizes_its_own_copy_once():
     batches = make_batches(lm.MappingKind.BINARY_FULL, S=20, bias=0.5, seed=4)
     before = [b.features.copy() for b in batches]
@@ -515,21 +595,31 @@ def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
     ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
     expected = reference_class_log_probs(ref, True, ref_arrays[1], ref_arrays[2])
     scored = _recording_score(model)
-    np.testing.assert_allclose(clf.class_log_probs(model, data), expected, rtol=0, atol=1e-12)
-    assert scored == [12 * 6]          # one pass over each run's K rows
+    logp, run = clf.run_log_probs(model, data)
+    assert logp.shape == (12, 6)
+    np.testing.assert_array_equal(run, np.arange(12 * 6) // 6)
+    # example 0 of a run holds its occupants in order, theta in slot 0
+    np.testing.assert_allclose(logp, expected[::6], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(per_example_log_probs(model, data), expected,
+                               rtol=0, atol=1e-12)
+    assert scored == [12 * 6] * 2      # one pass over each run's K rows
     # a partial run still scores the K rows of each run it touches, once
     part = data.take(np.arange(1, data.labels.size))
-    np.testing.assert_allclose(clf.class_log_probs(model, part), expected[1:],
+    np.testing.assert_allclose(per_example_log_probs(model, part), expected[1:],
                                rtol=0, atol=1e-12)
     two_runs = data.take(np.arange(4, 9))
-    np.testing.assert_allclose(clf.class_log_probs(model, two_runs), expected[4:9],
+    logp, run = clf.run_log_probs(model, two_runs)
+    np.testing.assert_array_equal(run, [0, 0, 1, 1, 1])
+    np.testing.assert_allclose(logp, expected[[0, 6]], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(per_example_log_probs(model, two_runs), expected[4:9],
                                rtol=0, atol=1e-12)
-    assert scored == [12 * 6, 12 * 6, 2 * 6]
+    assert scored == [12 * 6] * 3 + [2 * 6] * 2
     del model.score
 
     lpd, scores = dg.lpd_val(model, data)
     test = dg.permutation_test(model, data, B=50, seed=4)
-    monkeypatch.setattr(clf, "class_log_probs", lambda model, d: expected)
+    monkeypatch.setattr(clf, "run_log_probs",
+                        lambda model, d: (expected[::6], np.arange(d.labels.size) // 6))
     ref_lpd, ref_scores = dg.lpd_val(model, data)
     ref_test = dg.permutation_test(model, data, B=50, seed=4)
     assert abs(lpd - ref_lpd) < 1e-12

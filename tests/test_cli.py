@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from discal import classifier as clf
 from discal import cli
 from discal import diagnostics as dg
 from discal import label_mapping as lm
@@ -227,6 +228,37 @@ def test_diagnose_prints_the_ci_level_it_used(tmp_path, capsys):
     assert run(["report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "(CI [" in out and "%" not in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--alpha", "1.5", "stage 'estimate': alpha must be in (0, 1), got 1.5"),
+    ("--alpha", "0", "stage 'estimate': alpha must be in (0, 1), got 0.0"),
+    ("--R", "50", "stage 'estimate': R must be >= 100"),
+    ("--B", "0", "stage 'permutation': B must be >= 1"),
+])
+def test_diagnose_rejects_bad_counts_before_training(tmp_path, capsys, monkeypatch,
+                                                     option, value, message):
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the check")
+
+    monkeypatch.setattr(clf, "train", no_training)
+    code = run(["diagnose", "--table", str(table), "--epochs", "1", option, value,
+                "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert "error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1"])
+def test_benchmark_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    code = run(["benchmark", "--grid", "bias:1", "--alpha", alpha,
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error: --alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_report_missing_file(tmp_path, capsys):

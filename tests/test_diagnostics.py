@@ -1,6 +1,7 @@
 """Tests for the diagnostics pipeline: LPD, CI, permutation test, exports."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -71,16 +72,30 @@ def test_bootstrap_ci_basic_properties():
     rng = np.random.default_rng(0)
     scores = rng.standard_normal(200)
     ids = np.repeat(np.arange(50), 4)
-    lo, hi = dg.bootstrap_ci(scores, ids, R=500, seed=1)
-    assert lo <= scores.mean() <= hi
-    lo2, hi2 = dg.bootstrap_ci(scores, ids, R=500, seed=1)
-    assert (lo, hi) == (lo2, hi2)
-    lo3, hi3 = dg.bootstrap_ci(scores, ids, R=500, seed=1, offset=2.0)
+    lo, hi, widened = dg.bootstrap_ci(scores, ids, R=500, seed=1)
+    assert lo <= scores.mean() <= hi and not widened
+    assert dg.bootstrap_ci(scores, ids, R=500, seed=1) == (lo, hi, widened)
+    lo3, hi3, _ = dg.bootstrap_ci(scores, ids, R=500, seed=1, offset=2.0)
     assert abs(lo3 - (lo + 2.0)) < 1e-12 and abs(hi3 - (hi + 2.0)) < 1e-12
     with pytest.raises(sm.InvalidParameterError):
         dg.bootstrap_ci(scores, ids, R=50)
+    for alpha in (0.0, 1.0, 1.5, -0.05, float("nan")):
+        with pytest.raises(sm.InvalidParameterError, match="alpha must be in"):
+            dg.bootstrap_ci(scores, ids, R=100, alpha=alpha)
     with pytest.raises(sm.InvalidParameterError):
         dg.bootstrap_ci(scores[:4], np.zeros(4), R=100)
+
+
+def test_bootstrap_ci_flags_a_widened_interval():
+    # one batch of 100 holds all the mass: a replicate mean is 100 times a
+    # Beta(1, 99) weight, whose 55% quantile (0.80) lies below the point
+    # estimate 1, so the 10% band excludes it; the 95% band contains it
+    scores = np.zeros(100)
+    scores[-1] = 100.0
+    lo, hi, widened = dg.bootstrap_ci(scores, np.arange(100), R=1000, alpha=0.9)
+    assert widened and hi == 1.0 and lo < 1.0
+    lo, hi, widened = dg.bootstrap_ci(scores, np.arange(100), R=1000, alpha=0.05)
+    assert not widened and lo < 1.0 < hi
 
 
 def test_bootstrap_ci_coverage_with_fixed_model():
@@ -96,7 +111,7 @@ def test_bootstrap_ci_coverage_with_fixed_model():
         batches = make_batches(bias=0.5, S=150, seed=1000 + rep)
         _, scores = dg.lpd_val(model, batches, scheme)
         ids = clf.arrays_from_batches(batches).batch_ids
-        lo, hi = dg.bootstrap_ci(scores, ids, R=400, seed=rep)
+        lo, hi, _ = dg.bootstrap_ci(scores, ids, R=400, seed=rep)
         hits += lo <= truth <= hi
     # binomial(60, 0.95) is above 50 with overwhelming probability
     assert hits >= 50
@@ -199,6 +214,9 @@ def test_a_replicate_is_the_lpd_of_a_swapped_table(kind):
     model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=2)
     scheme = clf.UNWEIGHTED if kind is lm.MappingKind.MULTICLASS else clf.balanced_binary(M)
     res = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
+    # replicates follow the runs' batch ids, not the order of the batch list
+    backwards = dg.permutation_test(model, batches[::-1], scheme, B=B, seed=seed)
+    assert backwards.lpd_permuted.tobytes() == res.lpd_permuted.tobytes()
     draws = np.random.default_rng(seed).integers(0, M + 1, size=(B, S))
     assert len({tuple(row) for row in draws}) == B
     for b in range(B):
@@ -350,6 +368,64 @@ def test_run_pipeline_smoke_and_determinism():
     payload = dg.report_to_dict(rep1, test1, config_echo={"seed": 12})
     text = dg.format_report(payload)
     assert "divergence estimate" in text and "permutation p-value" in text
+
+
+def test_run_pipeline_reports_whether_the_ci_was_widened():
+    t = sm.generate_gaussian_table(1, 40, 3, 1.0, sm.Corruption(bias=1.0), seed=8,
+                                   attach_densities=True)
+    cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
+    settings = clf.TrainSettings(learning_rate=0.01, epochs=3, seed=12,
+                                 weight_scheme=clf.balanced_binary(3))
+    # a 0.1% band around the bootstrap median misses the point estimate
+    for alpha, widened in ((0.05, False), (0.999, True)):
+        rep, test, _ = dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, cfg,
+                                       settings=settings, B=20, R=200, alpha=alpha)
+        assert rep.ci_widened is widened
+        assert (rep.divergence in (rep.ci_low, rep.ci_high)) is widened
+        payload = json.loads(json.dumps(dg.report_to_dict(rep, test)))
+        assert payload["ci_widened"] is widened
+        assert ("CI was widened" in dg.format_report(payload)) is widened
+    # a report stored before the flag existed still renders, with no note
+    del payload["ci_widened"]
+    assert "widened" not in dg.format_report(payload)
+
+
+@pytest.mark.parametrize("B, R, alpha, stage, message", [
+    (0, 100, 0.05, "permutation", "B must be >= 1"),
+    (10, 99, 0.05, "estimate", "R must be >= 100"),
+    (10, 100, 1.5, "estimate", "alpha must be in"),
+    (10, 100, 0.0, "estimate", "alpha must be in"),
+])
+def test_run_pipeline_checks_its_counts_before_mapping(monkeypatch, B, R, alpha, stage,
+                                                       message):
+    t = sm.generate_gaussian_table(1, 20, 3, 1.0, sm.Corruption(), seed=0)
+
+    def no_mapping(*args, **kwargs):
+        raise AssertionError("mapped before the check")
+
+    monkeypatch.setattr(lm, "map_table", no_mapping)
+    with pytest.raises(dg.PipelineError, match=message) as err:
+        dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(), B=B, R=R,
+                        alpha=alpha)
+    assert err.value.stage == stage
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(multiclass=st.booleans(), d=st.integers(1, 2), S=st.integers(10, 16),
+       M=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_pipeline_is_deterministic_for_any_seed(multiclass, d, S, M, seed):
+    kind = lm.MappingKind.MULTICLASS if multiclass else lm.MappingKind.BINARY_FULL
+    t = sm.generate_gaussian_table(d, S, M, 1.0, sm.Corruption(bias=0.5), seed=seed % 997,
+                                   attach_densities=True)
+    cfg = lm.FeatureConfig(linear_features=("log_p",))
+    model_cfg = clf.config_for_table(t, kind, cfg, hidden_sizes=(3,))
+    settings = clf.TrainSettings(learning_rate=0.05, epochs=3, minibatch_size=7,
+                                 seed=seed, val_fraction=0.3)
+    runs = [dg.run_pipeline(t, kind, cfg, model_cfg=model_cfg, settings=settings,
+                            B=30, R=100) for _ in range(2)]
+    (rep1, test1, _), (rep2, test2, _) = runs
+    assert dg.report_to_dict(rep1, test1) == dg.report_to_dict(rep2, test2)
+    assert test1.lpd_permuted.tobytes() == test2.lpd_permuted.tobytes()
 
 
 def test_run_pipeline_stage_errors():
