@@ -13,7 +13,7 @@ permutation-equivariant over slots, which is what makes diagnostics on
 autocorrelated draws valid without thinning.
 
 Training is minibatch gradient descent with adaptive moments, weighted
-cross-entropy loss, and early stopping on held-out batches.  Everything is
+cross-entropy loss, and early stopping on held-out runs.  Everything is
 deterministic given the seed (fixed shuffle order, fixed reduction order).
 """
 
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from . import label_mapping as lm
-from .label_mapping import MappingKind
 from .sim_model import InvalidParameterError
 
 PROB_CLAMP = 1e-12
@@ -212,25 +211,6 @@ class Model:
             return out + x_lin @ self.w_linear, cache
         return self._mlp_forward(X) + x_lin @ self.w_linear
 
-    def split_feature(self, phi):
-        """Split a binary feature row/matrix into (nonlinear, linear) blocks."""
-        phi = np.asarray(phi, dtype=float)
-        d = self.config.input_dim
-        total = d + self.config.n_linear_features
-        if phi.shape[-1] != total:
-            raise InvalidParameterError("feature length %d, expected %d"
-                                        % (phi.shape[-1], total))
-        return phi[..., :d], phi[..., d:]
-
-
-def forward_binary(model, phi):
-    """Pr(t=1 | phi) for one feature vector or a matrix of them."""
-    phi = np.asarray(phi, dtype=float)
-    single = phi.ndim == 1
-    x_nl, x_lin = model.split_feature(np.atleast_2d(phi))
-    p1 = expit(model.score(x_nl, x_lin))
-    return float(p1[0]) if single else p1
-
 
 def _softmax(scores):
     z = scores - scores.max(axis=-1, keepdims=True)
@@ -238,111 +218,35 @@ def _softmax(scores):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-def forward_multiclass(model, slots_nl, slots_lin=None):
-    """Probability simplex over slots; accepts (K,d) or batched (n,K,d)."""
-    slots_nl = np.asarray(slots_nl, dtype=float)
-    single = slots_nl.ndim == 2
-    if single:
-        slots_nl = slots_nl[None, ...]
-    n, K, d = slots_nl.shape
-    if d != model.config.input_dim:
-        raise InvalidParameterError("slot dim %d, expected %d"
-                                    % (d, model.config.input_dim))
-    if slots_lin is None:
-        slots_lin = np.zeros((n, K, model.config.n_linear_features))
-    else:
-        slots_lin = np.asarray(slots_lin, dtype=float)
-        if single and slots_lin.ndim == 2:
-            slots_lin = slots_lin[None, ...]
-    scores = model.score(slots_nl.reshape(n * K, d),
-                         slots_lin.reshape(n * K, -1)).reshape(n, K)
-    probs = _softmax(scores)
-    return probs[0] if single else probs
-
-
 # ---- dataset assembly -------------------------------------------------------
 
-@dataclass
-class ExampleArrays:
-    """Examples over the occupant rows of R mapped runs, K rows per run.
+class ExampleArrays(lm.MappedTable):
+    """Runs gathered from a mapped table into rows of their own.
 
-    `rows` is (R, K, F), F = d + p: each run's occupant rows
-    [occupant | y | linear] with theta in row 0, run-major.  x_nl and x_lin
-    are the (R*K, d) and (R*K, p) column views of its flattened rows.
-    `index` holds each example's flat position run*K + k, or is None when
-    the examples are all R*K positions in order.  A binary example is the
-    row at its position.  A multiclass example at position run*K + k has
-    label k: run `run` with theta in slot k, the draws in order around it
-    (label_mapping._cyclic_insertion).  Full data, a hold-out set, a
-    partial run and a training minibatch are all subsets over shared rows.
+    A pass may change these rows in place (train standardizes its fit
+    rows); map_table's rows are read-only and shared by its run views.
+    gradient gets one from train: whole runs, or a binary minibatch's
+    `index` over the fit rows.
     """
 
-    multiclass: bool
-    rows: np.ndarray      # (R, K, F)
-    d: int
-    labels: np.ndarray    # (N,)
-    batch_ids: np.ndarray | None
-    n_classes: int
-    index: np.ndarray | None = None
-    x_nl: np.ndarray = field(init=False, repr=False)
-    x_lin: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        flat = self.rows.reshape(-1, self.rows.shape[-1])
-        self.x_nl, self.x_lin = flat[:, :self.d], flat[:, self.d:]
-
-    def take(self, idx):
-        """The examples at positions idx, over the same rows."""
-        return ExampleArrays(self.multiclass, self.rows, self.d, self.labels[idx],
-                             None if self.batch_ids is None else self.batch_ids[idx],
-                             self.n_classes, idx if self.index is None else self.index[idx])
-
-    def scored_rows(self):
-        """(x_nl, x_lin, run): the rows one scoring pass needs.
-
-        Binary: each example's own row, in example order, and run None.
-        Multiclass: the K rows of each distinct run, and the position of
-        each example's run among those runs.
-        """
-        K = self.rows.shape[1]
-        if self.index is None:
-            run = np.arange(self.labels.size) // K if self.multiclass else None
-            return self.x_nl, self.x_lin, run
-        if self.multiclass:
-            runs, run = np.unique(self.index // K, return_inverse=True)
-            block = self.rows.take(runs, axis=0).reshape(runs.size * K, -1)
-        else:
-            block = self.rows.reshape(-1, self.rows.shape[-1]).take(self.index, axis=0)
-            run = None
-        return block[:, :self.d], block[:, self.d:], run
+def arrays_from_batches(mapped, runs):
+    """The runs at positions `runs` of a mapped table, in that order, in one gather."""
+    runs = np.asarray(runs, dtype=np.intp)
+    return ExampleArrays(mapped.rows[runs], mapped.run_ids[runs], mapped.kind,
+                         mapped.d_nonlinear, mapped.d_y, mapped.linear_names)
 
 
-def arrays_from_batches(batches):
-    if not batches:
-        raise InvalidParameterError("empty batch list")
-    if isinstance(batches, ExampleArrays):
-        return batches
-    b0 = batches[0]
-    rows = np.stack([b.features for b in batches])
-    labels = np.concatenate([b.labels for b in batches]).astype(int)
-    ids = np.repeat([b.batch_id for b in batches], b0.n_examples)
-    return ExampleArrays(b0.kind is MappingKind.MULTICLASS, rows, b0.d_nonlinear,
-                         labels, ids, b0.n_classes)
+def config_for_table(mapped, hidden_sizes=(64, 64), activation="tanh"):
+    """The ModelConfig for the layout of a mapped table.
 
-
-def config_for_batches(batches, hidden_sizes=(64, 64), activation="tanh"):
-    """Build a ModelConfig matching the layout of mapped batches."""
-    b = batches[0]
-    arch = ARCH_MULTICLASS if b.kind is MappingKind.MULTICLASS else ARCH_BINARY
-    return ModelConfig(architecture=arch, input_dim=b.d_nonlinear,
+    A table's first run maps to the layout of the whole table, so
+    map_table(table.take([0]), kind, cfg) is enough to build it.
+    """
+    arch = ARCH_MULTICLASS if mapped.multiclass else ARCH_BINARY
+    return ModelConfig(architecture=arch, input_dim=mapped.d_nonlinear,
                        hidden_sizes=hidden_sizes, activation=activation,
-                       n_linear_features=b.n_linear, class_count=b.n_classes)
-
-
-def config_for_table(table, kind, feature_cfg, hidden_sizes=(64, 64), activation="tanh"):
-    """The ModelConfig for map_table's batches of a table, from its first run."""
-    batches = lm.map_table(table.take(slice(0, 1)), kind, feature_cfg)
-    return config_for_batches(batches, hidden_sizes, activation)
+                       n_linear_features=mapped.x_lin.shape[1], class_count=mapped.n_classes)
 
 
 # ---- loss and gradient ------------------------------------------------------
@@ -356,60 +260,58 @@ def class_log_probs(model, data):
     if data.multiclass:
         raise InvalidParameterError("class_log_probs scores binary examples; "
                                     "multiclass examples are scored per run by run_log_probs")
-    x_nl, x_lin, _ = data.scored_rows()
+    x_nl, x_lin = data.scored_rows()
     p1 = expit(model.score(x_nl, x_lin))
     return _clamped_log(np.column_stack([1.0 - p1, p1]))
 
 
 def run_log_probs(model, data):
-    """(logp, run): each distinct multiclass run's K class log probabilities.
+    """(R, K) class log probabilities of each of R whole multiclass runs.
 
-    logp is (R, K), the clamped log-softmax of the K occupant scores of each
-    distinct run the examples touch, theta in column 0: row r, column j is
-    the log probability that occupant j holds theta.  run is the position
-    of each example's run among the R.  Every example of a run has its
-    label's probability at column 0, since its label is theta's slot.
+    Row s is the clamped log-softmax of run s's K occupant scores, theta in
+    column 0: column j is the log probability that occupant j holds theta.
+    Every example of a run has its label's probability at column 0, since
+    its label is theta's slot.
     """
-    x_nl, x_lin, run = data.scored_rows()
+    x_nl, x_lin = data.scored_rows()
     occupant_scores = model.score(x_nl, x_lin).reshape(-1, data.n_classes)
-    return _clamped_log(_softmax(occupant_scores)), run
+    return _clamped_log(_softmax(occupant_scores))
 
 
 def label_log_probs(model, data):
     """(N,) clamped log predicted probability of each example's own label."""
     if data.multiclass:
-        logp, run = run_log_probs(model, data)
-        return logp[run, 0]
-    return class_log_probs(model, data)[np.arange(data.labels.size), data.labels]
+        return np.repeat(run_log_probs(model, data)[:, 0], data.n_classes)
+    labels = data.labels
+    return class_log_probs(model, data)[np.arange(labels.size), labels]
 
 
-def loss(model, batch_set, weight_scheme=UNWEIGHTED):
+def loss(model, data, weight_scheme=UNWEIGHTED):
     """Mean weighted negative log predicted probability of the true label."""
-    data = arrays_from_batches(batch_set)
     w = example_weights(data.labels, weight_scheme)
     return float(-np.mean(w * label_log_probs(model, data)))
 
 
-def gradient(model, batch_set, weight_scheme=UNWEIGHTED):
+def gradient(model, data, weight_scheme=UNWEIGHTED):
     """Exact gradient of loss() w.r.t. the flat parameter vector.
 
     Every multiclass example of a run has the loss -log_softmax(s_run)[0],
-    s_run its run's K occupant scores, so each distinct run is scored once
-    and its scores get (softmax(s_run) - e_0) * (sum of its examples'
-    weights) / n.
+    s_run its run's K occupant scores, so each run is scored once and its
+    scores get (softmax(s_run) - e_0) * (the sum of its K examples' weights,
+    added in label order) / n.
     """
-    data = arrays_from_batches(batch_set)
-    w = example_weights(data.labels, weight_scheme)
-    n = len(data.labels)
-    x_nl, x_lin, run = data.scored_rows()
+    x_nl, x_lin = data.scored_rows()
     scores, cache = model.score(x_nl, x_lin, keep_cache=True)
     if data.multiclass:
-        dscore = _softmax(scores.reshape(-1, data.n_classes))
+        K = data.n_classes
+        dscore = _softmax(scores.reshape(-1, K))
         dscore[:, 0] -= 1.0
-        dscore *= (np.bincount(run, weights=w, minlength=dscore.shape[0]) / n)[:, None]
+        dscore *= np.cumsum(example_weights(np.arange(K), weight_scheme))[-1] / scores.size
         dout = dscore.reshape(-1)
     else:
-        dout = w * (expit(scores) - data.labels) / n
+        labels = data.labels
+        w = example_weights(labels, weight_scheme)
+        dout = w * (expit(scores) - labels) / labels.size
     return _backprop(model, cache, x_lin, dout)
 
 
@@ -439,36 +341,34 @@ def _backprop(model, cache, x_lin, dout):
 
 # ---- training ---------------------------------------------------------------
 
-def train(train_batches, config, settings):
+def train(mapped, runs, config, settings):
     """Minibatch training with adaptive moments and early stopping.
 
-    Each epoch visits the fit examples in a fresh random order,
-    minibatch_size at a time.  Multiclass training draws whole runs
-    instead, minibatch_size // K of them per step (at least one): a run's
-    K examples share one loss term and one scoring of its K rows, so a
-    minibatch of whole runs still estimates the same mean loss without
-    bias.  A fraction of the training *batches* (val_fraction, floor rule)
-    is held out for early stopping; the returned model carries the
-    parameters with the best held-out loss, or the final parameters when no
-    hold-out exists.  The nonlinear columns of the fit and hold-out rows are standardized
-    once, in train's own copies of them, and the model gets the
-    standardizer after the last step.  A non-finite parameter update (from
-    a non-finite gradient or an overflowing step), a non-finite second
-    moment or a non-finite epoch loss raises TrainingDivergedError; an
-    update is checked before it reaches the parameters.
+    Trains on the runs at positions `runs` of a mapped table.  Each epoch
+    visits the fit examples in a fresh random order, minibatch_size at a
+    time.  Multiclass training draws whole runs instead, minibatch_size // K
+    of them per step (at least one): a run's K examples share one loss term
+    and one scoring of its K rows, so a minibatch of whole runs still
+    estimates the same mean loss without bias.  A fraction of the runs
+    (val_fraction, floor rule) is held out for early stopping; the returned
+    model carries the parameters with the best held-out loss, or the final
+    parameters when no hold-out exists.  The fit and hold-out runs are each
+    gathered once from the mapped rows, their nonlinear columns are
+    standardized in place, and the model gets the standardizer after the
+    last step.  A non-finite parameter update (from a non-finite gradient
+    or an overflowing step), a non-finite second moment or a non-finite
+    epoch loss raises TrainingDivergedError; an update is checked before it
+    reaches the parameters.
     """
-    if not train_batches:
+    runs = np.asarray(runs, dtype=np.intp)
+    if runs.size == 0:
         raise InvalidParameterError("empty training set")
     rng = np.random.default_rng(settings.seed)
 
-    n_hold = int(len(train_batches) * settings.val_fraction)
-    order = rng.permutation(len(train_batches))
-    hold = [train_batches[i] for i in order[:n_hold]]
-    fit = [train_batches[i] for i in order[n_hold:]]
-    # arrays_from_batches stacks a list into new rows, so the in-place
-    # standardizing below leaves the caller's batches alone
-    fit_data = arrays_from_batches(fit)
-    hold_data = arrays_from_batches(hold) if hold else None
+    n_hold = int(runs.size * settings.val_fraction)
+    order = rng.permutation(runs.size)
+    fit_data = arrays_from_batches(mapped, runs[order[n_hold:]])
+    hold_data = arrays_from_batches(mapped, runs[order[:n_hold]]) if n_hold else None
 
     model = Model(config, seed=rng.integers(2**31))
     standardizer = (model.x_mean, model.x_scale)
@@ -497,17 +397,19 @@ def train(train_batches, config, settings):
     step = 0
     best_loss, best_params = np.inf, None
     stale = 0
-    K = fit_data.n_classes if fit_data.multiclass else 1
-    units = len(fit_data.labels) // K
+    # the unit of a step: a whole run for multiclass, a row for binary
+    multiclass = fit_data.multiclass
+    K = fit_data.n_classes if multiclass else 1
+    units = len(fit_data) if multiclass else fit_data.x_nl.shape[0]
     per_step = max(1, min(settings.minibatch_size // K, units))
-    slots = np.arange(K)
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
         perm = rng.permutation(units)
         for start in range(0, units, per_step):
             chosen = perm[start:start + per_step]
-            idx = chosen if K == 1 else (chosen[:, None] * K + slots).ravel()
-            g = gradient(model, fit_data.take(idx), scheme)
+            batch = (arrays_from_batches(fit_data, np.sort(chosen)) if multiclass
+                     else replace(fit_data, index=chosen))
+            g = gradient(model, batch, scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
             denom *= g

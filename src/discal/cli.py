@@ -122,7 +122,14 @@ def cmd_diagnose(args):
                                  weight_scheme=scheme, patience=args.patience,
                                  seed=args.seed, val_fraction=args.val_fraction)
     kind = MAPPING_NAMES[args.mapping]
-    model_cfg = clf.config_for_table(table, kind, cfg, hidden_sizes=args.hidden)
+    # the first run's map has the layout of the whole table's: the model and
+    # the --visual request are checked against it before any training
+    head = lm.map_table(table.take([0]), kind, cfg)
+    coord = args.coordinate
+    coord = int(coord) if coord.lstrip("-").isdigit() else coord
+    if args.visual:
+        dg.check_visual(head, coord)
+    model_cfg = clf.config_for_table(head, hidden_sizes=args.hidden)
     report, test, model = dg.run_pipeline(table, kind, cfg,
                                           model_cfg=model_cfg, settings=settings,
                                           B=args.B, R=args.R, alpha=args.alpha)
@@ -140,11 +147,8 @@ def cmd_diagnose(args):
             json.load(fh)  # self-check
     if args.visual:
         # the rows the model was scored on, mapped with run_pipeline's seed
-        batches = lm.map_table(table, kind, cfg, seed=dg.pipeline_seeds(args.seed)[0])
-        coord = args.coordinate
-        coord = int(coord) if coord.lstrip("-").isdigit() else coord
-        rows = dg.visual_export(model, batches, coordinate=coord)
-        dg.write_visual_csv(rows, args.visual)
+        mapped = lm.map_table(table, kind, cfg, seed=dg.pipeline_seeds(args.seed)[0])
+        dg.write_visual_csv(dg.visual_export(model, mapped, coordinate=coord), args.visual)
     print(dg.format_report(payload))
     return 0
 

@@ -59,20 +59,19 @@ class TestResult:
     seed: int
 
 
-def lpd_val(model, val_batches, weight_scheme=clf.UNWEIGHTED):
-    """Mean (weighted) log predicted probability of the true labels.
+def lpd_val(model, data, weight_scheme=clf.UNWEIGHTED):
+    """Mean (weighted) log predicted probability of the true labels of a mapped table.
 
-    Returns (lpd, per-example scores); the scores feed bootstrap_ci.
+    Returns (lpd, per-example scores); the scores feed bootstrap_ci.  A
+    multiclass run's K examples share one value, repeated K times.
     """
-    data = clf.arrays_from_batches(val_batches)
-    if len(data.labels) == 0:
-        raise InvalidParameterError("empty validation set")
     scores = clf.example_weights(data.labels, weight_scheme) * clf.label_log_probs(model, data)
+    if scores.size == 0:
+        raise InvalidParameterError("empty validation set")
     return float(scores.mean()), scores
 
 
-def empirical_class_weights(batches):
-    data = clf.arrays_from_batches(batches)
+def empirical_class_weights(data):
     counts = np.bincount(data.labels, minlength=data.n_classes).astype(float)
     return counts / counts.sum()
 
@@ -156,30 +155,22 @@ def bootstrap_ci(per_example_scores, batch_ids, R=1000, alpha=0.05, seed=0, offs
 _CHUNK_ELEMENTS = 2 ** 17
 
 
-def _run_terms(logp, lab, scheme, multiclass):
-    """(c, delta, theta_at): the LPD as a function of which occupants hold theta.
+def _run_terms(logp, scheme, multiclass):
+    """(c, delta): the LPD as a function of which occupants hold theta.
 
-    lab[s, k] is the label of example k of run s.  A binary run labels
-    theta's row 0, and logp[s, k] holds the class log probabilities of its
-    row k.  A multiclass run's K examples all have theta's probability
-    among the same occupants, and logp[s] is its row of run_log_probs:
-    logp[s, j] is the log probability that occupant j holds theta.  With
-    occupant j_s holding theta in each run s, the mean weighted log
-    probability of the labels is (c + sum_s delta[s, j_s]) / (S * K);
-    theta_at holds the observed j_s.
+    A binary run's logp[s, k] holds the class log probabilities of its row
+    k, labelled 0 for theta's row 0 and 1 for the rest.  A multiclass run's
+    K examples all have theta's probability among the same occupants, and
+    logp[s] is its row of run_log_probs: logp[s, j] is the log probability
+    that occupant j holds theta.  With occupant j_s holding theta in each
+    run s, the mean weighted log probability of the labels is
+    (c + sum_s delta[s, j_s]) / (S * K); the observed LPD has every j_s = 0.
     """
-    S, K = lab.shape
     w = clf.example_weights(np.arange(logp.shape[-1]), scheme)
     if multiclass:
-        if np.any(lab != np.arange(K)):
-            raise InvalidParameterError("permutation test needs the examples of each "
-                                        "multiclass run labelled 0..K-1 in order")
-        return 0.0, w.sum() * logp, np.zeros(S, dtype=int)
-    if np.any(np.sum(lab == 0, axis=1) != 1):
-        raise InvalidParameterError("permutation test needs exactly one label-0 row "
-                                    "per binary run")
+        return 0.0, w.sum() * logp
     L = logp * w
-    return L[:, :, 1].sum(), L[:, :, 0] - L[:, :, 1], np.argmin(lab, axis=1)
+    return L[:, :, 1].sum(), L[:, :, 0] - L[:, :, 1]
 
 
 def _replicate_lpds(c, delta, draws):
@@ -189,15 +180,16 @@ def _replicate_lpds(c, delta, draws):
     return (c + moved) / (S * K)
 
 
-def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, seed=0):
+def permutation_test(model, data, weight_scheme=clf.UNWEIGHTED, B=1000, seed=0):
     """Exact finite-sample test: per run, redraw which occupant is theta.
 
     Under calibration a run's K = M+1 occupants (theta and its M draws) are
-    exchangeable given y.  A replicate draws, per run, one occupant
-    uniformly and scores the run as if it were theta.  The model is fixed,
-    so every replicate is a gather from one (S, K) table built from one
-    scoring pass (a multiclass run's K rows are scored once), drawn in
-    chunks whose size depends only on S, so memory stays flat in B.
+    exchangeable given y.  A replicate draws, per run of the mapped table
+    `data`, one occupant uniformly and scores the run as if it were theta.
+    The model is fixed, so every replicate is a gather from one (S, K)
+    table built from one scoring pass (a multiclass run's K rows are scored
+    once), drawn in chunks whose size depends only on S, so memory stays
+    flat in B.
 
     p = #{b : permuted LPD_b >= observed LPD} / B; ties count toward the
     permuted side.  The observed LPD is the same gather at theta, so exact
@@ -207,61 +199,55 @@ def permutation_test(model, val_batches, weight_scheme=clf.UNWEIGHTED, B=1000, s
     The test is exact for IID draws.  Markov-chain draws are not
     exchangeable with an independent theta: with AR(1) draws at rho = 0.9
     and a fixed random multiclass model, p <= 0.05 on 14-17% of calibrated
-    tables.  The divergence estimate stays valid there.  A binary run
-    without exactly one label-0 row, or a multiclass run whose examples
-    are not labelled 0..K-1 in order, is rejected.
+    tables.  The divergence estimate stays valid there.
     """
     _check_permutation_count(B)
-    data = clf.arrays_from_batches(val_batches)
-    _, inverse = np.unique(data.batch_ids, return_inverse=True)
-    sizes = np.bincount(inverse)
-    if np.any(sizes != sizes[0]):
-        raise InvalidParameterError("permutation test needs equal batch sizes "
-                                    "(one M per table)")
-    order = np.argsort(inverse, kind="stable")
-    S, K = sizes.size, int(sizes[0])
-    if data.multiclass:
-        logp, run = clf.run_log_probs(model, data)
-        logp = logp[run[order[::K]]]
-    else:
-        logp = clf.class_log_probs(model, data)[order].reshape(S, K, 2)
-    c, delta, theta_at = _run_terms(logp, data.labels[order].reshape(S, K),
-                                    weight_scheme, data.multiclass)
+    S, K = data.rows.shape[:2]
+    logp = (clf.run_log_probs(model, data) if data.multiclass
+            else clf.class_log_probs(model, data).reshape(S, K, 2))
+    c, delta = _run_terms(logp, weight_scheme, data.multiclass)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ELEMENTS // S)
     permuted = np.empty(B)
     for start in range(0, B, chunk):
         draws = rng.integers(0, K, size=(min(chunk, B - start), S))
         permuted[start:start + len(draws)] = _replicate_lpds(c, delta, draws)
-    lpd_observed = float(_replicate_lpds(c, delta, theta_at[None])[0])
+    lpd_observed = float(_replicate_lpds(c, delta, np.zeros((1, S), dtype=int))[0])
     p = float(np.sum(permuted >= lpd_observed) / B)
     return TestResult(lpd_observed=lpd_observed, lpd_permuted=permuted,
                       p_value=p, B=B, seed=seed)
 
 
-def visual_export(model, batches, coordinate=0):
-    """Rows of (coordinate value, Pr(t=1 | phi), label) for binary models.
+def check_visual(mapped, coordinate):
+    """The column of mapped's flattened rows that visual_export plots.
 
     `coordinate` is an index into the nonlinear feature block, or the name
-    of a linear feature (as recorded in the batch's linear_names).
+    of a linear feature (one of mapped.linear_names).  Only binary mappings
+    have a per-row prediction to plot.
     """
-    if model.config.architecture != clf.ARCH_BINARY:
+    if mapped.multiclass:
         raise lm.ConfigurationError("visual export is defined for binary models")
-    data = clf.arrays_from_batches(batches)
-    x_nl, x_lin, _ = data.scored_rows()
     if isinstance(coordinate, str):
-        names = batches[0].linear_names
-        if coordinate not in names:
+        if coordinate not in mapped.linear_names:
             raise lm.ConfigurationError("unknown feature %r (have %s)"
-                                        % (coordinate, list(names)))
-        values = x_lin[:, names.index(coordinate)]
-    else:
-        coordinate = int(coordinate)
-        if not (0 <= coordinate < x_nl.shape[1]):
-            raise lm.ConfigurationError("coordinate %d out of range" % coordinate)
-        values = x_nl[:, coordinate]
-    preds = expit(model.score(x_nl, x_lin))
-    return np.column_stack([values, preds, data.labels.astype(float)])
+                                        % (coordinate, list(mapped.linear_names)))
+        return mapped.d_nonlinear + mapped.linear_names.index(coordinate)
+    coordinate = int(coordinate)
+    if not (0 <= coordinate < mapped.d_nonlinear):
+        raise lm.ConfigurationError("coordinate %d out of range" % coordinate)
+    return coordinate
+
+
+def visual_export(model, mapped, coordinate=0):
+    """Rows of (coordinate value, Pr(t=1 | phi), label) for a binary model.
+
+    One row per row of map_table's result, in order; `coordinate` is as in
+    check_visual.
+    """
+    column = check_visual(mapped, coordinate)
+    values = mapped.rows.reshape(-1, mapped.rows.shape[-1])[:, column]
+    preds = expit(model.score(mapped.x_nl, mapped.x_lin))
+    return np.column_stack([values, preds, mapped.labels.astype(float)])
 
 
 def write_visual_csv(rows, path):
@@ -298,26 +284,29 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
     seed_map, seed_split, seed_train, seed_boot, seed_perm = pipeline_seeds(settings.seed)
 
     try:
-        batches = lm.map_table(table, kind, feature_cfg, seed=seed_map)
+        mapped = lm.map_table(table, kind, feature_cfg, seed=seed_map)
     except Exception as exc:
         raise PipelineError("map", exc) from exc
     try:
-        train_b, val_b = lm.split_batches(batches, settings.val_fraction, seed=seed_split)
-        if not val_b or not train_b:
+        if not 0.0 < settings.val_fraction < 1.0:
+            raise InvalidParameterError("val_fraction must be in (0, 1)")
+        # whole runs to each side: floor rule, seeded shuffle, table order kept
+        n_val = int(settings.val_fraction * len(mapped))
+        order = np.random.default_rng(seed_split).permutation(len(mapped))
+        val_runs, train_runs = np.sort(order[:n_val]), np.sort(order[n_val:])
+        if not val_runs.size or not train_runs.size:
             raise InvalidParameterError("split produced an empty side "
-                                        "(need more batches)")
-    except PipelineError:
-        raise
+                                        "(need more runs)")
     except Exception as exc:
         raise PipelineError("split", exc) from exc
     try:
         if model_cfg is None:
-            model_cfg = clf.config_for_batches(batches)
-        model = clf.train(train_b, model_cfg, replace(settings, seed=seed_train))
+            model_cfg = clf.config_for_table(mapped)
+        model = clf.train(mapped, train_runs, model_cfg, replace(settings, seed=seed_train))
     except Exception as exc:
         raise PipelineError("train", exc) from exc
     try:
-        val_data = clf.arrays_from_batches(val_b)
+        val_data = clf.arrays_from_batches(mapped, val_runs)
         lpd, scores = lpd_val(model, val_data, settings.weight_scheme)
         report = divergence_estimate(lpd, settings.weight_scheme,
                                      empirical_class_weights(val_data),

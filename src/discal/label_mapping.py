@@ -1,4 +1,4 @@
-"""Label mappings: turn a simulation table into batched classification examples.
+"""Label mappings: turn a simulation table into classification examples.
 
 Every mapping lays a run out the same way: K = M+1 occupant rows
 [occupant (or its rank) | y | linear], theta in row 0 and the draws in
@@ -18,10 +18,10 @@ of the label, so any classifier's predictive edge measures miscalibration.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,44 +65,93 @@ class FeatureConfig:
                 raise ConfigurationError("unknown linear feature %r" % (name,))
 
 
-@dataclass
-class Batch:
-    """One run's K occupant rows and the labels of its examples.
+class Run(NamedTuple):
+    """One mapped run: its K occupant rows and the labels of its examples."""
 
-    `features` is (K, d_nonlinear + n_linear): row j is
-    [occupant j (or its rank) (d_nonlinear - d_y) | y (d_y) | linear (n_linear)]
-    with theta in row 0.  A binary example is one row, labelled 0 for theta
-    and 1 for a draw.  Multiclass example k (label k) is all K rows with
-    theta in slot k and the draws in order around it
-    (rows[_cyclic_insertion(K)[k]]).
-    """
-
-    batch_id: int
+    run_id: int
     labels: np.ndarray
     features: np.ndarray
-    kind: MappingKind
-    n_classes: int
-    d_nonlinear: int
-    n_linear: int
-    linear_names: tuple = ()
-    d_y: int = 0
 
     @property
     def n_examples(self):
         return self.labels.shape[0]
 
+
+@dataclass
+class MappedTable:
+    """Mapped runs as one (R, K, F) block of occupant rows.
+
+    rows[s] holds run s's K = M+1 occupant rows
+    [occupant (or its rank) (d_nonlinear - d_y) | y (d_y) | linear],
+    theta in row 0 and the draws in order after it; linear_names names the
+    linear columns.  Labels are not stored, they follow from the layout.  A
+    binary example is one row, labelled 0 for theta and 1 for a draw.
+    Multiclass example k (label k) is all K rows of its run with theta in
+    slot k and the draws in order around it (rows[s][_cyclic_insertion(K)[k]]).
+    Example s*K + k is row k, or example k, of run s.  `index` selects
+    examples by that position (a binary minibatch); None means all of them,
+    in order.  x_nl and x_lin are the column views of the flattened rows.
+    Iterating yields one Run per run.
+    """
+
+    rows: np.ndarray
+    run_ids: np.ndarray
+    kind: MappingKind
+    d_nonlinear: int
+    d_y: int = 0
+    linear_names: tuple = ()
+    index: np.ndarray | None = None
+    x_nl: np.ndarray = field(init=False, repr=False)
+    x_lin: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        flat = self.rows.reshape(-1, self.rows.shape[-1])
+        self.x_nl, self.x_lin = flat[:, :self.d_nonlinear], flat[:, self.d_nonlinear:]
+
     @property
-    def label_multiset(self):
-        vals, counts = np.unique(self.labels, return_counts=True)
-        return dict(zip(vals.tolist(), counts.tolist()))
+    def multiclass(self):
+        return self.kind is MappingKind.MULTICLASS
 
-    def nonlinear(self):
-        """(K, d_nonlinear) nonlinear block of the occupant rows."""
-        return self.features[:, : self.d_nonlinear]
+    @property
+    def n_classes(self):
+        return self.rows.shape[1] if self.multiclass else 2
 
-    def linear(self):
-        """(K, n_linear) linear block of the occupant rows."""
-        return self.features[:, self.d_nonlinear:]
+    def _label_of(self, slot):
+        return slot if self.multiclass else np.minimum(slot, 1)
+
+    def _positions(self):
+        if self.index is not None:
+            return self.index
+        return np.arange(self.rows.shape[0] * self.rows.shape[1])
+
+    @property
+    def labels(self):
+        """(N,) label of each example."""
+        return self._label_of(self._positions() % self.rows.shape[1])
+
+    @property
+    def batch_ids(self):
+        """(N,) run id of each example."""
+        return self.run_ids[self._positions() // self.rows.shape[1]]
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def __iter__(self):
+        labels = self._label_of(np.arange(self.rows.shape[1]))
+        labels.flags.writeable = False  # one array shared by every run
+        return map(Run, self.run_ids.tolist(), itertools.repeat(labels), self.rows)
+
+    def scored_rows(self):
+        """(x_nl, x_lin): the rows one scoring pass reads.
+
+        Each example's own row, in example order, for binary examples; all
+        rows, run by run, for whole multiclass runs.
+        """
+        if self.index is None:
+            return self.x_nl, self.x_lin
+        block = self.rows.reshape(-1, self.rows.shape[-1]).take(self.index, axis=0)
+        return block[:, :self.d_nonlinear], block[:, self.d_nonlinear:]
 
 
 def _selected(d_theta, cfg):
@@ -171,11 +220,12 @@ def _cyclic_insertion(K):
 
 
 def map_table(table, kind, cfg, seed=0):
-    """Map every run of a table to one Batch each, ordered by run position.
+    """The MappedTable of every run of a table, in run order.
 
     Every mapping writes the same (S, K, F) occupant rows, K = M+1 per run
-    with theta in row 0: [occupant (or its rank) | y | linear].  Batch s's
-    features are the view rows[s].  The seed drives only the rank jitter
+    with theta in row 0: [occupant (or its rank) | y | linear].  The rows
+    are read-only: a pass that changes rows works on its own gathered copy.
+    The seed drives only the rank jitter
     (see _jittered_ranks_all), whose rows per run are the rank mapping's
     feature first, then each 'rank' linear feature's coordinates in
     theta_subset order; mappings without ranks are seed-independent.
@@ -226,50 +276,5 @@ def map_table(table, kind, cfg, seed=0):
             lin[:, :, len(names)] = getattr(table, name)
             names.append(name)
 
-    if kind is MappingKind.MULTICLASS:
-        labels, n_classes = np.arange(K), K
-    else:
-        labels, n_classes = np.concatenate([[0], np.ones(K - 1, dtype=int)]), 2
-    labels.flags.writeable = False  # one array shared by every batch
-    return [Batch(batch_id=run_id, labels=labels, features=rows[s], kind=kind,
-                  n_classes=n_classes, d_nonlinear=ds + d_y, n_linear=p,
-                  linear_names=tuple(names), d_y=d_y)
-            for s, run_id in enumerate(table.run_ids.tolist())]
-
-
-def split_batches(batches, val_fraction, seed=0):
-    """Assign whole batches to train or validation (floor rule, seeded shuffle)."""
-    if not (0.0 < val_fraction < 1.0):
-        raise InvalidParameterError("val_fraction must be in (0, 1)")
-    n = len(batches)
-    n_val = int(math.floor(val_fraction * n))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    val_idx = set(order[:n_val].tolist())
-    train = [b for i, b in enumerate(batches) if i not in val_idx]
-    val = [b for i, b in enumerate(batches) if i in val_idx]
-    return train, val
-
-
-def export_examples(batches, path):
-    """Dump mapped examples as JSONL for external classifiers.
-
-    A binary example's phi is its row.  A multiclass example's phi is flat:
-    its K slot occupants (d_nonlinear - d_y each), then y once, then the K
-    slots' linear features.
-    """
-    with open(path, "w") as fh:
-        for batch in batches:
-            phis = batch.features
-            if batch.kind is MappingKind.MULTICLASS:
-                K, ds = batch.n_classes, batch.d_nonlinear - batch.d_y
-                slots = batch.features[_cyclic_insertion(K)]
-                phis = np.concatenate(
-                    [slots[:, :, :ds].reshape(K, -1),
-                     np.broadcast_to(batch.features[0, ds:batch.d_nonlinear],
-                                     (K, batch.d_y)),
-                     slots[:, :, batch.d_nonlinear:].reshape(K, -1)], axis=1)
-            for t, phi in zip(batch.labels, phis):
-                fh.write(json.dumps({"batch_id": int(batch.batch_id),
-                                     "t": int(t),
-                                     "phi": phi.tolist()}) + "\n")
+    rows.flags.writeable = False  # shared by every run view
+    return MappedTable(rows, table.run_ids, kind, ds + d_y, d_y, tuple(names))

@@ -79,7 +79,8 @@ def test_criterion_03_divergence_recovery():
     settings = clf.TrainSettings(learning_rate=0.01, epochs=60, seed=32,
                                  minibatch_size=1024, patience=10,
                                  weight_scheme=clf.balanced_binary(5))
-    model_cfg = clf.config_for_table(table, lm.MappingKind.BINARY_FULL, cfg,
+    model_cfg = clf.config_for_table(lm.map_table(table.take([0]),
+                                                  lm.MappingKind.BINARY_FULL, cfg),
                                      hidden_sizes=(32,))
     report, _, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg,
                                    model_cfg=model_cfg, settings=settings,
@@ -113,7 +114,8 @@ def test_criterion_04_big_m_convergence():
         settings = clf.TrainSettings(learning_rate=0.01, epochs=30, seed=s_pipe,
                                      minibatch_size=512, patience=6,
                                      val_fraction=0.5)
-        model_cfg = clf.config_for_table(table, lm.MappingKind.MULTICLASS, cfg,
+        model_cfg = clf.config_for_table(lm.map_table(table.take([0]),
+                                                      lm.MappingKind.MULTICLASS, cfg),
                                          hidden_sizes=(8,))
         report, _, _ = dg.run_pipeline(table, lm.MappingKind.MULTICLASS, cfg,
                                        model_cfg=model_cfg, settings=settings,
@@ -193,10 +195,10 @@ def test_criterion_08_gradient_correctness():
                                            sm.Corruption(bias=0.5),
                                            seed=int(rng.integers(2**31)),
                                            attach_densities=True)
-        batches = lm.map_table(table, kind, lm.FeatureConfig(linear_features=feats))
+        mapped = lm.map_table(table, kind, lm.FeatureConfig(linear_features=feats))
         hidden = ((3,), (4, 3))[trial % 2]
         activation = ("tanh", "relu")[(trial // 2) % 2]
-        cfg = clf.config_for_batches(batches, hidden_sizes=hidden,
+        cfg = clf.config_for_table(mapped, hidden_sizes=hidden,
                                      activation=activation)
         model = clf.Model(cfg, seed=int(rng.integers(2**31)))
         # move to a generic point: zero-initialized biases put stacked relu
@@ -205,7 +207,7 @@ def test_criterion_08_gradient_correctness():
                                                          size=model.get_params().size))
         scheme = (clf.UNWEIGHTED if kind is lm.MappingKind.MULTICLASS or trial % 5
                   else clf.balanced_binary(M))
-        g = clf.gradient(model, batches, scheme)
+        g = clf.gradient(model, mapped, scheme)
         p0 = model.get_params()
         fd = np.empty_like(p0)
         eps = 1e-6
@@ -213,10 +215,10 @@ def test_criterion_08_gradient_correctness():
             pp = p0.copy()
             pp[i] += eps
             model.set_params(pp)
-            up = clf.loss(model, batches, scheme)
+            up = clf.loss(model, mapped, scheme)
             pp[i] -= 2 * eps
             model.set_params(pp)
-            dn = clf.loss(model, batches, scheme)
+            dn = clf.loss(model, mapped, scheme)
             fd[i] = (up - dn) / (2 * eps)
         model.set_params(p0)
         rel = np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12)
@@ -230,7 +232,8 @@ def _classifier_rejects(table, seed, epochs, M):
     settings = clf.TrainSettings(learning_rate=0.01, epochs=epochs, seed=seed,
                                  minibatch_size=1024, patience=3,
                                  weight_scheme=clf.balanced_binary(M))
-    model_cfg = clf.config_for_table(table, lm.MappingKind.BINARY_FULL, cfg,
+    model_cfg = clf.config_for_table(lm.map_table(table.take([0]),
+                                                  lm.MappingKind.BINARY_FULL, cfg),
                                      hidden_sizes=(8,))
     _, test, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg,
                                  model_cfg=model_cfg, settings=settings,
@@ -266,13 +269,15 @@ def test_criterion_09_power_dominance():
         settings = clf.TrainSettings(learning_rate=0.01, epochs=20, seed=s_pipe,
                                      weight_scheme=clf.balanced_binary(10),
                                      patience=5)
-        mcfg = clf.config_for_table(table, lm.MappingKind.BINARY_FULL, feat,
+        mcfg = clf.config_for_table(lm.map_table(table.take([0]),
+                                                 lm.MappingKind.BINARY_FULL, feat),
                                     hidden_sizes=(8,))
         _, test_full, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, feat,
                                           model_cfg=mcfg, settings=settings,
                                           B=200, R=100)
         hits_full += test_full.p_value < 0.05
-        mcfg_r = clf.config_for_table(table, lm.MappingKind.BINARY_RANK, feat,
+        mcfg_r = clf.config_for_table(lm.map_table(table.take([0]),
+                                                   lm.MappingKind.BINARY_RANK, feat),
                                       hidden_sizes=(8,))
         _, test_rank, _ = dg.run_pipeline(table, lm.MappingKind.BINARY_RANK, feat,
                                           model_cfg=mcfg_r, settings=settings,
@@ -337,8 +342,7 @@ def test_criterion_11_oracle_attainability():
                                        sm.Corruption(bias=0.5, variance_scale=1.3),
                                        seed=111, attach_densities=True)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
-    batches = lm.map_table(table, lm.MappingKind.BINARY_FULL, cfg)
-    data = clf.arrays_from_batches(batches)
+    data = lm.map_table(table, lm.MappingKind.BINARY_FULL, cfg)
     assert data.labels.size == 1000
     model_cfg = clf.ModelConfig(architecture=clf.ARCH_BINARY, input_dim=4,
                                 hidden_sizes=(16, 16), n_linear_features=2)
@@ -346,7 +350,7 @@ def test_criterion_11_oracle_attainability():
     params = np.zeros(model.get_params().size)
     params[-2:] = [1.0, -1.0]
     model.set_params(params)
-    preds = clf.forward_binary(model, np.hstack([data.x_nl, data.x_lin]))
+    preds = expit(model.score(data.x_nl, data.x_lin))
     bayes0 = expit(data.x_lin[:, 0] - data.x_lin[:, 1])  # p/(p+q)
     err = np.max(np.abs(preds - bayes0))
     verdict(11, "oracle-classifier attainability", err < 1e-12,

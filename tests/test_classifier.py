@@ -11,14 +11,18 @@ from discal import label_mapping as lm
 from discal import sim_model as sm
 
 
-def make_batches(kind, d=2, S=8, M=3, bias=0.3, seed=0, features=("log_p", "log_q")):
+def make_mapped(kind, d=2, S=8, M=3, bias=0.3, seed=0, features=("log_p", "log_q")):
     c = sm.Corruption(bias=bias)
     t = sm.generate_gaussian_table(d, S, M, 1.0, c, seed=seed, attach_densities=True)
     cfg = lm.FeatureConfig(linear_features=features)
     return lm.map_table(t, kind, cfg, seed=seed)
 
 
-def finite_diff_grad(model, batches, scheme, eps=1e-6):
+def all_runs(mapped):
+    return np.arange(len(mapped))
+
+
+def finite_diff_grad(model, mapped, scheme, eps=1e-6):
     p0 = model.get_params()
     g = np.empty_like(p0)
     for i in range(p0.size):
@@ -27,9 +31,9 @@ def finite_diff_grad(model, batches, scheme, eps=1e-6):
             p[i] += sign * eps
             model.set_params(p)
             if slot == 0:
-                up = clf.loss(model, batches, scheme)
+                up = clf.loss(model, mapped, scheme)
             else:
-                dn = clf.loss(model, batches, scheme)
+                dn = clf.loss(model, mapped, scheme)
         g[i] = (up - dn) / (2 * eps)
     model.set_params(p0)
     return g
@@ -63,16 +67,15 @@ def test_model_config_validation():
 
 
 def test_forward_binary_sigmoid_of_score():
-    cfg = clf.ModelConfig(architecture=clf.ARCH_BINARY, input_dim=2,
-                          hidden_sizes=(4,), n_linear_features=1)
-    model = clf.Model(cfg, seed=1)
-    phi = np.array([0.3, -0.7, 2.0])
-    x_nl, x_lin = model.split_feature(phi)
-    expected = expit(model.score(x_nl[None, :], x_lin[None, :]))[0]
-    assert abs(clf.forward_binary(model, phi) - expected) < 1e-15
-    mat = np.vstack([phi, phi + 1.0])
-    out = clf.forward_binary(model, mat)
-    assert out.shape == (2,)
+    # a binary example's Pr(t=1) is the sigmoid of its own row's score
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=3)
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=1)
+    d = mapped.d_nonlinear
+    row = mapped.rows[1, 2]                 # example 1*K + 2
+    p1 = expit(model.score(row[None, :d], row[None, d:]))[0]
+    logp = clf.class_log_probs(model, mapped)
+    assert logp.shape == (12, 2)
+    np.testing.assert_allclose(logp[6], np.log([1.0 - p1, p1]), rtol=1e-12)
 
 
 def test_separable_multiclass_permutation_equivariance():
@@ -82,77 +85,81 @@ def test_separable_multiclass_permutation_equivariance():
     rng = np.random.default_rng(3)
     nl = rng.standard_normal((4, 3))
     lin = rng.standard_normal((4, 2))
-    probs = clf.forward_multiclass(model, nl, lin)
     perm = np.array([2, 0, 3, 1])
-    probs_p = clf.forward_multiclass(model, nl[perm], lin[perm])
-    np.testing.assert_allclose(probs_p, probs[perm], atol=1e-12)
+
+    def run_probs(order):
+        run = lm.MappedTable(np.hstack([nl, lin])[None, order], np.array([0]),
+                             lm.MappingKind.MULTICLASS, d_nonlinear=3)
+        return np.exp(clf.run_log_probs(model, run)[0])
+
+    probs = run_probs(np.arange(4))
+    np.testing.assert_allclose(run_probs(perm), probs[perm], atol=1e-12)
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences_binary():
-    batches = make_batches(lm.MappingKind.BINARY_FULL)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(4, 3))
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(4, 3))
     model = clf.Model(cfg, seed=5)
     scheme = clf.balanced_binary(3)
-    g = clf.gradient(model, batches, scheme)
-    fd = finite_diff_grad(model, batches, scheme)
+    g = clf.gradient(model, mapped, scheme)
+    fd = finite_diff_grad(model, mapped, scheme)
     rel = np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12)
     assert rel < 1e-5
 
 
 def test_gradient_matches_finite_differences_multiclass():
-    batches = make_batches(lm.MappingKind.MULTICLASS, d=1, S=5, M=2)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(4,), activation="relu")
+    mapped = make_mapped(lm.MappingKind.MULTICLASS, d=1, S=5, M=2)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(4,), activation="relu")
     model = clf.Model(cfg, seed=6)
-    g = clf.gradient(model, batches, clf.UNWEIGHTED)
-    fd = finite_diff_grad(model, batches, clf.UNWEIGHTED)
+    g = clf.gradient(model, mapped, clf.UNWEIGHTED)
+    fd = finite_diff_grad(model, mapped, clf.UNWEIGHTED)
     rel = np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12)
     assert rel < 1e-5
 
 
 def test_full_batch_descent_decreases_loss():
     # plain gradient steps (no adaptivity) must decrease a smooth loss
-    batches = make_batches(lm.MappingKind.BINARY_FULL, S=12)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(6,))
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=12)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(6,))
     model = clf.Model(cfg, seed=7)
-    losses = [clf.loss(model, batches)]
+    losses = [clf.loss(model, mapped)]
     params = model.get_params()
     for _ in range(10):
-        params = params - 0.05 * clf.gradient(model, batches)
+        params = params - 0.05 * clf.gradient(model, mapped)
         model.set_params(params)
-        losses.append(clf.loss(model, batches))
+        losses.append(clf.loss(model, mapped))
     assert losses[-1] < losses[0]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
 def test_train_improves_over_init_and_is_deterministic():
-    batches = make_batches(lm.MappingKind.BINARY_FULL, S=40, bias=1.0)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(8,))
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=40, bias=1.0)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(8,))
     settings = clf.TrainSettings(learning_rate=0.01, epochs=10, seed=3,
                                  weight_scheme=clf.balanced_binary(3))
-    model = clf.train(batches, cfg, settings)
+    model = clf.train(mapped, all_runs(mapped), cfg, settings)
     init = clf.Model(cfg, seed=3)
-    assert clf.loss(model, batches, settings.weight_scheme) < clf.loss(
-        init, batches, settings.weight_scheme)
-    model2 = clf.train(batches, cfg, settings)
+    assert clf.loss(model, mapped, settings.weight_scheme) < clf.loss(
+        init, mapped, settings.weight_scheme)
+    model2 = clf.train(mapped, all_runs(mapped), cfg, settings)
     np.testing.assert_array_equal(model.get_params(), model2.get_params())
 
 
 def test_train_standardizer_from_training_data_only():
-    batches = make_batches(lm.MappingKind.BINARY_FULL, S=20)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(4,))
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=20)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(4,))
     settings = clf.TrainSettings(epochs=1, seed=0, val_fraction=0.25)
-    model = clf.train(batches, cfg, settings)
-    all_nl = np.concatenate([b.nonlinear() for b in batches])
+    model = clf.train(mapped, all_runs(mapped), cfg, settings)
     # the standardizer comes from the fit portion, not the full data
-    assert not np.allclose(model.x_mean, all_nl.mean(axis=0), atol=1e-12)
+    assert not np.allclose(model.x_mean, mapped.x_nl.mean(axis=0), atol=1e-12)
     assert np.all(model.x_scale > 0)
 
 
 def test_train_rejects_empty():
     cfg = clf.ModelConfig(architecture=clf.ARCH_BINARY, input_dim=1)
     with pytest.raises(sm.InvalidParameterError):
-        clf.train([], cfg, clf.TrainSettings())
+        clf.train(make_mapped(lm.MappingKind.BINARY_FULL), [], cfg, clf.TrainSettings())
 
 
 def test_settings_validation():
@@ -183,27 +190,30 @@ def per_example_log_probs(model, data):
     example k is slot c, which holds occupant _cyclic_insertion(K)[k, c]."""
     if not data.multiclass:
         return clf.class_log_probs(model, data)
-    logp, run = clf.run_log_probs(model, data)
-    return logp[run[:, None], lm._cyclic_insertion(data.n_classes)[data.labels]]
+    K = data.n_classes
+    run = np.arange(data.labels.size) // K
+    return clf.run_log_probs(model, data)[run[:, None], lm._cyclic_insertion(K)[data.labels]]
 
 
 def test_per_example_forward_matches_class_log_probs():
     # each example scored on its own through the forward pass that defines
     # its head: a binary row, or a multiclass example's K slot rows
     for kind in (lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS):
-        batches = make_batches(kind, d=2, S=4, M=3)
-        cfg = clf.config_for_batches(batches, hidden_sizes=(4,))
+        mapped = make_mapped(kind, d=2, S=4, M=3)
+        cfg = clf.config_for_table(mapped, hidden_sizes=(4,))
         model = clf.Model(cfg, seed=9)
-        data = clf.arrays_from_batches(batches)
+        data = mapped
         expected = per_example_log_probs(model, data)
         got = []
-        for b in batches:
+        d = mapped.d_nonlinear
+        for b in mapped:
             for k in range(b.n_examples):
                 if kind is lm.MappingKind.MULTICLASS:
-                    slots, d = reference_slots(b)[k], b.d_nonlinear
-                    probs = clf.forward_multiclass(model, slots[:, :d], slots[:, d:])
+                    slots = reference_slots(b.features)[k]
+                    probs = reference_softmax(model.score(slots[:, :d], slots[:, d:]))
                 else:
-                    p1 = clf.forward_binary(model, b.features[k])
+                    row = b.features[k]
+                    p1 = expit(model.score(row[None, :d], row[None, d:]))[0]
                     probs = np.array([1.0 - p1, p1])
                 got.append(np.log(np.clip(probs, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -215,15 +225,14 @@ def test_per_example_forward_matches_class_log_probs():
 
 
 def test_serialization_round_trip():
-    batches = make_batches(lm.MappingKind.MULTICLASS, d=1, S=4, M=2)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(3, 3))
-    model = clf.train(batches, cfg, clf.TrainSettings(epochs=2, seed=1))
+    mapped = make_mapped(lm.MappingKind.MULTICLASS, d=1, S=4, M=2)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(3, 3))
+    model = clf.train(mapped, all_runs(mapped), cfg, clf.TrainSettings(epochs=2, seed=1))
     clone = clf.model_from_json(clf.model_to_json(model))
     np.testing.assert_array_equal(clone.get_params(), model.get_params())
     np.testing.assert_array_equal(clone.x_mean, model.x_mean)
-    data = clf.arrays_from_batches(batches)
-    np.testing.assert_array_equal(clf.run_log_probs(clone, data)[0],
-                                  clf.run_log_probs(model, data)[0])
+    np.testing.assert_array_equal(clf.run_log_probs(clone, mapped),
+                                  clf.run_log_probs(model, mapped))
     with pytest.raises(sm.InvalidParameterError):
         clf.model_from_json('{"version": 99}')
 
@@ -240,12 +249,11 @@ def test_probability_clamping_keeps_loss_finite():
                           hidden_sizes=(), n_linear_features=1)
     model = clf.Model(cfg, seed=0)
     model.set_params(np.array([0.0, 1e4]))  # saturates the sigmoid
-    batches = make_batches(lm.MappingKind.BINARY_FULL, d=1, S=3,
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=1, S=3,
                            features=("log_p",))
-    # strip the nonlinear block by feeding arrays directly
-    data = clf.arrays_from_batches(batches)
-    data = clf.ExampleArrays(False, data.rows[..., data.d:], 0, data.labels,
-                             data.batch_ids, n_classes=2)
+    # strip the nonlinear block by building the table directly
+    data = lm.MappedTable(mapped.rows[..., mapped.d_nonlinear:], mapped.run_ids,
+                          mapped.kind, d_nonlinear=0)
     assert np.isfinite(clf.loss(model, data))
 
 
@@ -295,31 +303,31 @@ class ReferenceModel:
         return self.mlp_forward((x_nl - self.x_mean) / self.x_scale)[0] + x_lin @ self.w_linear
 
 
-def reference_slots(b):
-    """(K, K, F) slot rows of a multiclass batch's K examples.
+def reference_slots(features):
+    """(K, K, F) slot rows of the K multiclass examples of a run's (K, F) rows.
 
     Example k puts theta (occupant row 0) in slot k and the draws in order
     around it.
     """
-    K = b.n_classes
-    return np.stack([b.features[np.concatenate([np.arange(1, k + 1), [0], np.arange(k + 1, K)])]
+    K = features.shape[0]
+    return np.stack([features[np.concatenate([np.arange(1, k + 1), [0], np.arange(k + 1, K)])]
                      for k in range(K)])
 
 
-def reference_slot_views(b):
-    slots = reference_slots(b)
-    return slots[..., :b.d_nonlinear], slots[..., b.d_nonlinear:]
-
-
-def reference_arrays(batches):
-    mc = batches[0].kind is lm.MappingKind.MULTICLASS
+def reference_arrays(mapped, runs=None):
+    """(multiclass, x_nl, x_lin, labels) of the examples of the given runs
+    (all by default), each run's blocks copied out on its own."""
+    items = list(mapped)
+    items = items if runs is None else [items[i] for i in runs]
+    d, mc = mapped.d_nonlinear, mapped.multiclass
     if mc:
-        nl, lin = zip(*(reference_slot_views(b) for b in batches))
+        slots = [reference_slots(b.features) for b in items]
+        nl, lin = [x[..., :d] for x in slots], [x[..., d:] for x in slots]
     else:
-        nl = [b.nonlinear() for b in batches]
-        lin = [b.linear() for b in batches]
+        nl = [b.features[:, :d] for b in items]
+        lin = [b.features[:, d:] for b in items]
     return (mc, np.concatenate(nl), np.concatenate(lin),
-            np.concatenate([b.labels for b in batches]).astype(int))
+            np.concatenate([b.labels for b in items]).astype(int))
 
 
 def reference_softmax(scores):
@@ -377,16 +385,12 @@ def reference_gradient(model, arrays, scheme):
                           + [(x_lin.T @ dout).ravel()])
 
 
-def reference_train(batches, config, settings):
+def reference_train(mapped, config, settings):
     rng = np.random.default_rng(settings.seed)
-    n_hold = int(len(batches) * settings.val_fraction)
-    order = rng.permutation(len(batches))
-    hold = [batches[i] for i in order[:n_hold]]
-    fit = [batches[i] for i in order[n_hold:]]
-    if not fit:
-        fit, hold = hold, []
-    fit_data = reference_arrays(fit)
-    hold_data = reference_arrays(hold) if hold else None
+    n_hold = int(len(mapped) * settings.val_fraction)
+    order = rng.permutation(len(mapped))
+    fit_data = reference_arrays(mapped, order[n_hold:])
+    hold_data = reference_arrays(mapped, order[:n_hold]) if n_hold else None
     model = ReferenceModel(config, seed=rng.integers(2**31))
     if settings.standardize and config.input_dim > 0:
         flat = fit_data[1].reshape(-1, config.input_dim)
@@ -455,14 +459,14 @@ TRAIN_CASES = {
 def test_train_matches_frozen_reference(case, seed):
     kind, features, activation, weighted, val_fraction = TRAIN_CASES[case]
     M = 4
-    batches = make_batches(kind, d=2, S=24, M=M, bias=0.8, seed=seed, features=features)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(6, 3), activation=activation)
+    mapped = make_mapped(kind, d=2, S=24, M=M, bias=0.8, seed=seed, features=features)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(6, 3), activation=activation)
     settings = clf.TrainSettings(learning_rate=0.05, epochs=12, minibatch_size=13,
                                  patience=2, seed=seed, val_fraction=val_fraction,
                                  weight_scheme=clf.balanced_binary(M) if weighted
                                  else clf.UNWEIGHTED)
-    model = clf.train(batches, cfg, settings)
-    ref = reference_train(batches, cfg, settings)
+    model = clf.train(mapped, all_runs(mapped), cfg, settings)
+    ref = reference_train(mapped, cfg, settings)
     if kind is lm.MappingKind.MULTICLASS:
         # scored once per run and standardized over the occupant rows: the
         # sums run in another order, so the result agrees to rounding only
@@ -476,11 +480,11 @@ def test_train_matches_frozen_reference(case, seed):
 
 
 def _recorded_minibatches(monkeypatch):
-    """Record the example positions of every minibatch train hands to gradient."""
+    """Record every minibatch train hands to gradient."""
     seen, real_gradient = [], clf.gradient
 
     def recording_gradient(model, data, scheme=clf.UNWEIGHTED):
-        seen.append(data.index.copy())
+        seen.append(data)
         return real_gradient(model, data, scheme)
 
     monkeypatch.setattr(clf, "gradient", recording_gradient)
@@ -491,38 +495,39 @@ def _recorded_minibatches(monkeypatch):
 def test_multiclass_minibatches_are_whole_runs(monkeypatch, minibatch_size):
     # K = 5: 3 < K gives one run per step, 13 two runs, 40 eight, 1000 all
     M, S, epochs = 4, 17, 3
-    batches = make_batches(lm.MappingKind.MULTICLASS, d=1, S=S, M=M, seed=2)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(3,))
+    mapped = make_mapped(lm.MappingKind.MULTICLASS, d=1, S=S, M=M, seed=2)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(3,))
     settings = clf.TrainSettings(epochs=epochs, minibatch_size=minibatch_size, seed=4,
                                  val_fraction=0.0)
     seen = _recorded_minibatches(monkeypatch)
-    clf.train(batches, cfg, settings)
+    clf.train(mapped, all_runs(mapped), cfg, settings)
     K = M + 1
     per_step = max(1, min(minibatch_size // K, S))
     steps = -(-S // per_step)
     assert len(seen) == epochs * steps
-    # train's draws: the batch order, the model seed, then one run order per epoch
+    # train's draws: the run order, the model seed, then one run order per epoch
     rng = np.random.default_rng(settings.seed)
-    rng.permutation(S)
+    fit_runs = rng.permutation(S)      # the fit rows, in this order
     rng.integers(2**31)
     for epoch in range(epochs):
         perm = rng.permutation(S)
         covered = []
-        for step, idx in enumerate(seen[epoch * steps:(epoch + 1) * steps]):
-            runs = idx.reshape(-1, K) // K
-            # whole runs, each with its K examples in label order
-            np.testing.assert_array_equal(idx.reshape(-1, K), runs * K + np.arange(K))
-            np.testing.assert_array_equal(runs[:, 0], perm[step * per_step:(step + 1) * per_step])
-            covered.extend(runs[:, 0])
+        for step, data in enumerate(seen[epoch * steps:(epoch + 1) * steps]):
+            chosen = np.sort(perm[step * per_step:(step + 1) * per_step])
+            # whole runs, gathered in fit-row order, all K examples of each
+            assert isinstance(data, clf.ExampleArrays) and data.index is None
+            assert data.rows.shape == (chosen.size, K, mapped.rows.shape[2])
+            np.testing.assert_array_equal(data.run_ids, mapped.run_ids[fit_runs[chosen]])
+            covered.extend(data.run_ids)
         assert sorted(covered) == list(range(S))     # every fit run once per epoch
 
 
 def test_binary_minibatches_slice_one_example_permutation(monkeypatch):
-    batches = make_batches(lm.MappingKind.BINARY_FULL, d=1, S=9, M=3, seed=2)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(3,))
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=1, S=9, M=3, seed=2)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(3,))
     settings = clf.TrainSettings(epochs=2, minibatch_size=5, seed=6, val_fraction=0.0)
     seen = _recorded_minibatches(monkeypatch)
-    clf.train(batches, cfg, settings)
+    clf.train(mapped, all_runs(mapped), cfg, settings)
     n, bs = 9 * 4, 5
     rng = np.random.default_rng(settings.seed)
     rng.permutation(9)
@@ -532,38 +537,39 @@ def test_binary_minibatches_slice_one_example_permutation(monkeypatch):
         perm = rng.permutation(n)
         want.extend(perm[start:start + bs] for start in range(0, n, bs))
     assert len(seen) == len(want)
-    for got, idx in zip(seen, want):
-        np.testing.assert_array_equal(got, idx)
+    for data, idx in zip(seen, want):
+        np.testing.assert_array_equal(data.index, idx)
+        np.testing.assert_array_equal(data.labels, np.minimum(idx % 4, 1))
 
 
 def test_train_standardizes_its_own_copy_once():
-    batches = make_batches(lm.MappingKind.BINARY_FULL, S=20, bias=0.5, seed=4)
-    before = [b.features.copy() for b in batches]
-    cfg = clf.config_for_batches(batches, hidden_sizes=(5,))
-    model = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0))
-    # the caller's batches are untouched
-    for b, want in zip(batches, before):
-        np.testing.assert_array_equal(b.features, want)
-    # the standardizer is that of the fit rows: here all batches, in the
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=20, bias=0.5, seed=4)
+    before = mapped.rows.copy()
+    cfg = clf.config_for_table(mapped, hidden_sizes=(5,))
+    model = clf.train(mapped, all_runs(mapped), cfg,
+                      clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0))
+    # the caller's rows are untouched
+    np.testing.assert_array_equal(mapped.rows, before)
+    # the standardizer is that of the fit rows: here all runs, in the
     # order train's seeded shuffle puts them
-    order = np.random.default_rng(1).permutation(len(batches))
-    x_nl = clf.arrays_from_batches([batches[i] for i in order]).x_nl
+    order = np.random.default_rng(1).permutation(len(mapped))
+    x_nl = clf.arrays_from_batches(mapped, order).x_nl
     np.testing.assert_array_equal(model.x_mean, x_nl.mean(axis=0))
     np.testing.assert_array_equal(model.x_scale, x_nl.std(axis=0))
-    data = clf.arrays_from_batches(batches)
+    data = mapped
     clone = clf.model_from_json(clf.model_to_json(model))
     np.testing.assert_array_equal(clf.class_log_probs(clone, data),
                                   clf.class_log_probs(model, data))
 
     # without standardizing the model gets the identity standardizer and
     # scores the raw inputs; that round-trips
-    raw = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0,
-                                                    standardize=False))
+    raw = clf.train(mapped, all_runs(mapped), cfg,
+                    clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0, standardize=False))
     np.testing.assert_array_equal(raw.x_mean, np.zeros(cfg.input_dim))
     np.testing.assert_array_equal(raw.x_scale, np.ones(cfg.input_dim))
     ref = ReferenceModel(cfg, seed=0)
     ref.set_params(raw.get_params())
-    mc, ref_nl, ref_lin, _ = reference_arrays(batches)
+    mc, ref_nl, ref_lin, _ = reference_arrays(mapped)
     np.testing.assert_array_equal(clf.class_log_probs(raw, data),
                                   reference_class_log_probs(ref, mc, ref_nl, ref_lin))
     clone = clf.model_from_json(clf.model_to_json(raw))
@@ -585,43 +591,38 @@ def _recording_score(model):
 
 def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
     from discal import diagnostics as dg
-    batches = make_batches(lm.MappingKind.MULTICLASS, d=2, S=12, M=5, bias=0.5, seed=3)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(5,))
-    model = clf.train(batches, cfg, clf.TrainSettings(epochs=3, seed=2, learning_rate=0.05))
-    data = clf.arrays_from_batches(batches)
-    ref_arrays = reference_arrays(batches)
+    mapped = make_mapped(lm.MappingKind.MULTICLASS, d=2, S=12, M=5, bias=0.5, seed=3)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(5,))
+    model = clf.train(mapped, all_runs(mapped), cfg,
+                      clf.TrainSettings(epochs=3, seed=2, learning_rate=0.05))
+    ref_arrays = reference_arrays(mapped)
     ref = ReferenceModel(cfg, seed=0)
     ref.set_params(model.get_params())
     ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
     expected = reference_class_log_probs(ref, True, ref_arrays[1], ref_arrays[2])
     scored = _recording_score(model)
-    logp, run = clf.run_log_probs(model, data)
+    logp = clf.run_log_probs(model, mapped)
     assert logp.shape == (12, 6)
-    np.testing.assert_array_equal(run, np.arange(12 * 6) // 6)
     # example 0 of a run holds its occupants in order, theta in slot 0
     np.testing.assert_allclose(logp, expected[::6], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(per_example_log_probs(model, data), expected,
+    np.testing.assert_allclose(per_example_log_probs(model, mapped), expected,
                                rtol=0, atol=1e-12)
     assert scored == [12 * 6] * 2      # one pass over each run's K rows
-    # a partial run still scores the K rows of each run it touches, once
-    part = data.take(np.arange(1, data.labels.size))
-    np.testing.assert_allclose(per_example_log_probs(model, part), expected[1:],
+    # gathered runs are scored in the order given
+    two_runs = clf.arrays_from_batches(mapped, [1, 0])
+    np.testing.assert_allclose(clf.run_log_probs(model, two_runs), expected[[6, 0]],
                                rtol=0, atol=1e-12)
-    two_runs = data.take(np.arange(4, 9))
-    logp, run = clf.run_log_probs(model, two_runs)
-    np.testing.assert_array_equal(run, [0, 0, 1, 1, 1])
-    np.testing.assert_allclose(logp, expected[[0, 6]], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(per_example_log_probs(model, two_runs), expected[4:9],
+    np.testing.assert_allclose(per_example_log_probs(model, two_runs),
+                               np.concatenate([expected[6:12], expected[:6]]),
                                rtol=0, atol=1e-12)
-    assert scored == [12 * 6] * 3 + [2 * 6] * 2
+    assert scored == [12 * 6] * 2 + [2 * 6] * 2
     del model.score
 
-    lpd, scores = dg.lpd_val(model, data)
-    test = dg.permutation_test(model, data, B=50, seed=4)
-    monkeypatch.setattr(clf, "run_log_probs",
-                        lambda model, d: (expected[::6], np.arange(d.labels.size) // 6))
-    ref_lpd, ref_scores = dg.lpd_val(model, data)
-    ref_test = dg.permutation_test(model, data, B=50, seed=4)
+    lpd, scores = dg.lpd_val(model, mapped)
+    test = dg.permutation_test(model, mapped, B=50, seed=4)
+    monkeypatch.setattr(clf, "run_log_probs", lambda model, d: expected[::6])
+    ref_lpd, ref_scores = dg.lpd_val(model, mapped)
+    ref_test = dg.permutation_test(model, mapped, B=50, seed=4)
     assert abs(lpd - ref_lpd) < 1e-12
     np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
     assert abs(test.lpd_observed - ref_test.lpd_observed) < 1e-12
@@ -629,12 +630,16 @@ def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
     assert test.p_value == ref_test.p_value
 
 
+def _example_positions(runs, K):
+    return (np.asarray(runs)[:, None] * K + np.arange(K)).ravel()
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_multiclass_gradient_matches_per_slot_reference(activation):
-    # one pass per run gives the per-slot gradient of every example subset
+    # one pass per run gives the per-slot gradient of every set of runs
     M = 4
-    batches = make_batches(lm.MappingKind.MULTICLASS, d=2, S=10, M=M, bias=0.5, seed=4)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(6, 3), activation=activation)
+    mapped = make_mapped(lm.MappingKind.MULTICLASS, d=2, S=10, M=M, bias=0.5, seed=4)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(6, 3), activation=activation)
     model = clf.Model(cfg, seed=3)
     rng = np.random.default_rng(8)
     model.set_params(model.get_params() + rng.normal(scale=0.3, size=model.params.size))
@@ -642,48 +647,49 @@ def test_multiclass_gradient_matches_per_slot_reference(activation):
     ref = ReferenceModel(cfg, seed=0)
     ref.set_params(model.get_params())
     ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
-    data = clf.arrays_from_batches(batches)
-    mc, x_nl, x_lin, labels = reference_arrays(batches)
-    N = labels.size
+    mc, x_nl, x_lin, labels = reference_arrays(mapped)
     subsets = {
-        "whole runs": np.arange(N),
-        "partial run": np.arange(1, N - 2),
-        "repeated runs": np.array([7, 3, 8, 6, 21, 0, 9, 22, 5]),   # runs 1, 0, 4, 1
-        "shuffled minibatch": rng.permutation(N)[:13],
+        "whole table": np.arange(10),
+        "one run": np.array([6]),
+        "repeated runs": np.array([1, 0, 4, 1]),
+        "shuffled minibatch": rng.permutation(10)[:3],
     }
-    for name, idx in subsets.items():
+    for name, runs in subsets.items():
+        idx = _example_positions(runs, M + 1)
         for scheme in (clf.UNWEIGHTED, clf.balanced_binary(M)):
-            g = clf.gradient(model, data.take(idx), scheme)
+            g = clf.gradient(model, clf.arrays_from_batches(mapped, runs), scheme)
             want = reference_gradient(ref, (mc, x_nl[idx], x_lin[idx], labels[idx]), scheme)
             err = np.max(np.abs(g - want))
             assert err <= 1e-13 * np.max(np.abs(want)), (name, scheme, err)
-    full = clf.gradient(model, batches, clf.UNWEIGHTED)
-    np.testing.assert_array_equal(full, clf.gradient(model, data, clf.UNWEIGHTED))
+    full = clf.gradient(model, mapped, clf.UNWEIGHTED)
+    np.testing.assert_array_equal(
+        full, clf.gradient(model, clf.arrays_from_batches(mapped, np.arange(10)),
+                           clf.UNWEIGHTED))
 
 
 def test_multiclass_loss_per_run_matches_per_example_reference():
     M = 4
-    batches = make_batches(lm.MappingKind.MULTICLASS, d=2, S=10, M=M, bias=0.5, seed=6)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(6, 3))
+    mapped = make_mapped(lm.MappingKind.MULTICLASS, d=2, S=10, M=M, bias=0.5, seed=6)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(6, 3))
     model = clf.Model(cfg, seed=2)
     rng = np.random.default_rng(3)
     model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
     ref = ReferenceModel(cfg, seed=0)
     ref.set_params(model.get_params())
-    data = clf.arrays_from_batches(batches)
-    mc, x_nl, x_lin, labels = reference_arrays(batches)
-    N = labels.size
+    mc, x_nl, x_lin, labels = reference_arrays(mapped)
     subsets = {
-        "whole runs": (np.arange(N), 10),
-        "partial run": (np.arange(2, 5), 1),
-        "repeated runs": (np.array([7, 3, 8, 6, 21, 0, 9, 22, 5]), 3),   # runs 1, 0, 4, 1
+        "whole table": np.arange(10),
+        "one run": np.array([0]),
+        "repeated runs": np.array([1, 0, 4, 1]),
     }
-    for name, (idx, n_runs) in subsets.items():
+    for name, runs in subsets.items():
+        idx = _example_positions(runs, M + 1)
+        data = clf.arrays_from_batches(mapped, runs)
         scored = _recording_score(model)
-        got = clf.loss(model, data.take(idx))
+        got = clf.loss(model, data)
         want = reference_loss(ref, (mc, x_nl[idx], x_lin[idx], labels[idx]), clf.UNWEIGHTED)
         assert abs(got - want) <= 1e-12, (name, got, want)
-        assert scored == [n_runs * (M + 1)], name     # each distinct run once
+        assert scored == [runs.size * (M + 1)], name     # each run once
         del model.score
 
 
@@ -703,8 +709,8 @@ def test_get_params_returns_a_copy_of_the_live_buffer():
 
 
 def test_early_stopping_restores_recorded_best_params(monkeypatch):
-    batches = make_batches(lm.MappingKind.BINARY_FULL, S=30, bias=0.5, seed=2)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(8,))
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=30, bias=0.5, seed=2)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(8,))
     settings = clf.TrainSettings(learning_rate=0.3, epochs=40, minibatch_size=8,
                                  patience=2, seed=5, val_fraction=0.3)
     record = []
@@ -716,7 +722,7 @@ def test_early_stopping_restores_recorded_best_params(monkeypatch):
         return value
 
     monkeypatch.setattr(clf, "loss", recording_loss)
-    model = clf.train(batches, cfg, settings)
+    model = clf.train(mapped, all_runs(mapped), cfg, settings)
     best = 0
     for i, (value, _) in enumerate(record):
         if value < record[best][0] - 1e-12:
@@ -730,8 +736,8 @@ def test_early_stopping_restores_recorded_best_params(monkeypatch):
 def test_training_divergence_mid_epoch_raises(monkeypatch):
     # Adam's first step moves every weight by about the learning rate; at
     # 1e200 the second gradient is ~1e200, and lr * mhat overflows
-    batches = make_batches(lm.MappingKind.BINARY_FULL, S=12, seed=1)
-    cfg = clf.config_for_batches(batches, hidden_sizes=(8,), activation="relu")
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=12, seed=1)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(8,), activation="relu")
     settings = clf.TrainSettings(learning_rate=1e200, epochs=3, minibatch_size=4,
                                  seed=0, val_fraction=0.0)
     seen = []
@@ -744,7 +750,7 @@ def test_training_divergence_mid_epoch_raises(monkeypatch):
     monkeypatch.setattr(clf, "gradient", recording_gradient)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(clf.TrainingDivergedError) as info:
-            clf.train(batches, cfg, settings)
+            clf.train(mapped, all_runs(mapped), cfg, settings)
     assert info.value.epoch == 0
     steps_per_epoch = -(-12 * 4 // settings.minibatch_size)
     # raised before the epoch ended, and no step left non-finite parameters
@@ -754,7 +760,7 @@ def test_training_divergence_mid_epoch_raises(monkeypatch):
     monkeypatch.setattr(clf, "gradient", lambda model, data, scheme: np.full(
         model.params.size, np.nan))
     with pytest.raises(clf.TrainingDivergedError):
-        clf.train(batches, cfg, clf.TrainSettings(epochs=1, seed=0))
+        clf.train(mapped, all_runs(mapped), cfg, clf.TrainSettings(epochs=1, seed=0))
 
 
 def test_second_moment_overflow_raises():
@@ -768,15 +774,15 @@ def test_second_moment_overflow_raises():
     log_p[0, 0] = 1.5e308  # finite, so the table accepts it
     t = dataclasses.replace(t, log_p=log_p)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
-    batches = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
-    model_cfg = clf.config_for_batches(batches, hidden_sizes=(8,))
+    mapped = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
+    model_cfg = clf.config_for_table(mapped, hidden_sizes=(8,))
     model = clf.Model(model_cfg, seed=0)
     model.w_linear[:] = [0.5, 0.0]
     with np.errstate(over="ignore"):
-        g = clf.gradient(model, batches)
+        g = clf.gradient(model, mapped)
         assert np.all(np.isfinite(g)) and np.max(np.abs(g)) > 1e154
         with pytest.raises(clf.TrainingDivergedError) as err:
-            clf.train(batches, model_cfg, clf.TrainSettings(epochs=3, seed=2,
+            clf.train(mapped, all_runs(mapped), model_cfg, clf.TrainSettings(epochs=3, seed=2,
                                                             val_fraction=0.0))
         assert err.value.epoch == 0
         with pytest.raises(dg.PipelineError) as err:

@@ -252,6 +252,28 @@ def test_diagnose_rejects_bad_counts_before_training(tmp_path, capsys, monkeypat
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--mapping", "multiclass"], "visual export is defined for binary models"),
+    (["--features", "logp", "--coordinate", "log_q"], "unknown feature 'log_q'"),
+    (["--coordinate", "7"], "coordinate 7 out of range"),
+])
+def test_diagnose_rejects_bad_visual_before_training(tmp_path, capsys, monkeypatch,
+                                                     options, message):
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the check")
+
+    monkeypatch.setattr(clf, "train", no_training)
+    code = run(["diagnose", "--table", str(table), "--epochs", "1", *options,
+                "--visual", str(tmp_path / "v.csv"), "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert "error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "v.csv").exists()
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1"])
 def test_benchmark_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
     code = run(["benchmark", "--grid", "bias:1", "--alpha", alpha,

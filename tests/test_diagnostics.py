@@ -1,6 +1,5 @@
 """Tests for the diagnostics pipeline: LPD, CI, permutation test, exports."""
 
-import dataclasses
 import json
 import math
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from discal import classifier as clf
 from discal import diagnostics as dg
@@ -15,7 +15,7 @@ from discal import label_mapping as lm
 from discal import sim_model as sm
 
 
-def make_batches(bias=0.5, d=1, S=30, M=3, seed=0, kind=lm.MappingKind.BINARY_FULL,
+def make_mapped(bias=0.5, d=1, S=30, M=3, seed=0, kind=lm.MappingKind.BINARY_FULL,
                  features=("log_p", "log_q")):
     c = sm.Corruption(bias=bias)
     t = sm.generate_gaussian_table(d, S, M, 1.0, c, seed=seed, attach_densities=True)
@@ -54,14 +54,15 @@ def test_divergence_estimate_offsets():
 
 
 def test_lpd_val_against_direct_computation():
-    batches = make_batches()
+    mapped = make_mapped()
     model = oracle_weight_model(1)
-    lpd, scores = dg.lpd_val(model, batches, clf.UNWEIGHTED)
-    assert scores.size == sum(b.n_examples for b in batches)
+    lpd, scores = dg.lpd_val(model, mapped, clf.UNWEIGHTED)
+    assert scores.size == sum(b.n_examples for b in mapped)
     direct = []
-    for b in batches:
+    d = mapped.d_nonlinear
+    for b in mapped:
         for phi, t in zip(b.features, b.labels):
-            p1 = clf.forward_binary(model, phi)
+            p1 = expit(model.score(phi[None, :d], phi[None, d:]))[0]
             direct.append(np.log(np.clip(p1 if t == 1 else 1.0 - p1,
                                          clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
     np.testing.assert_allclose(scores, direct, atol=1e-12)
@@ -103,14 +104,14 @@ def test_bootstrap_ci_coverage_with_fixed_model():
     # cover the long-run weighted LPD close to its nominal 95% rate
     model = oracle_weight_model(1)
     scheme = clf.balanced_binary(3)
-    big = make_batches(bias=0.5, S=20000, seed=999)
+    big = make_mapped(bias=0.5, S=20000, seed=999)
     truth, _ = dg.lpd_val(model, big, scheme)
     hits = 0
     n_rep = 60
     for rep in range(n_rep):
-        batches = make_batches(bias=0.5, S=150, seed=1000 + rep)
-        _, scores = dg.lpd_val(model, batches, scheme)
-        ids = clf.arrays_from_batches(batches).batch_ids
+        mapped = make_mapped(bias=0.5, S=150, seed=1000 + rep)
+        _, scores = dg.lpd_val(model, mapped, scheme)
+        ids = mapped.batch_ids
         lo, hi, _ = dg.bootstrap_ci(scores, ids, R=400, seed=rep)
         hits += lo <= truth <= hi
     # binomial(60, 0.95) is above 50 with overwhelming probability
@@ -121,33 +122,23 @@ def test_permutation_test_is_within_batch():
     # model whose prediction depends only on y, which is shared within a
     # batch: within-batch permutations cannot change the LPD, so every
     # replicate ties with the observed value and p = 1 exactly (a global
-    # permutation would mix batches and break the tie)
-    batches = make_batches(bias=1.0, S=6, features=())
+    # permutation would mix mapped and break the tie)
+    mapped = make_mapped(bias=1.0, S=6, features=())
     cfg = clf.ModelConfig(architecture=clf.ARCH_BINARY, input_dim=2,
                           hidden_sizes=(1,), n_linear_features=0)
     model = clf.Model(cfg, seed=0)
     model.set_params(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))  # score = tanh(y)
-    res = dg.permutation_test(model, batches, B=200, seed=4)
+    res = dg.permutation_test(model, mapped, B=200, seed=4)
     np.testing.assert_allclose(res.lpd_permuted, res.lpd_observed, atol=1e-12)
     assert res.p_value == 1.0
 
 
 def test_permutation_test_detects_signal():
-    batches = make_batches(bias=2.0, S=60, seed=3)
+    mapped = make_mapped(bias=2.0, S=60, seed=3)
     model = oracle_weight_model(1)
-    res = dg.permutation_test(model, batches, clf.balanced_binary(3), B=500, seed=5)
+    res = dg.permutation_test(model, mapped, clf.balanced_binary(3), B=500, seed=5)
     assert res.p_value < 0.01
     assert res.lpd_permuted.shape == (500,)
-
-
-def test_permutation_test_unequal_batch_sizes():
-    batches = make_batches(bias=1.5, S=40, seed=6)
-    model = oracle_weight_model(1)
-    data = clf.arrays_from_batches(batches)
-    # one M per table gives equal batch sizes; anything else is rejected
-    trimmed = data.take(np.arange(1, data.labels.size))
-    with pytest.raises(sm.InvalidParameterError):
-        dg.permutation_test(model, trimmed, B=300, seed=7)
 
 
 def loop_lpds(L_raw, labels_per_draw, scheme):
@@ -171,16 +162,16 @@ def test_gathered_replicates_match_the_loop(C, K, zeros, scheme):
     rng = np.random.default_rng(C * 100 + K)
     S, n_draws = 40, 25
     L_raw = np.log(rng.dirichlet(np.ones(C), size=S * K)).reshape(S, K, C)
+    # theta's row 0 is the run's one label-0 row
     lab = np.ones((S, K), dtype=int)
     lab[:, :zeros] = 0
-    lab = rng.permuted(lab, axis=1)
-    c, delta, theta_at = dg._run_terms(L_raw, lab, scheme, multiclass=False)
+    c, delta = dg._run_terms(L_raw, scheme, multiclass=False)
     pos = rng.integers(0, K, size=(n_draws, S))
     labels = np.ones((n_draws, S, K), dtype=int)
     np.put_along_axis(labels, pos[:, :, None], 0, axis=2)
     np.testing.assert_allclose(dg._replicate_lpds(c, delta, pos),
                                loop_lpds(L_raw, labels, scheme), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dg._replicate_lpds(c, delta, theta_at[None]),
+    np.testing.assert_allclose(dg._replicate_lpds(c, delta, np.zeros((1, S), dtype=int)),
                                loop_lpds(L_raw, lab[None], scheme), rtol=0, atol=1e-12)
 
 
@@ -210,13 +201,14 @@ def test_a_replicate_is_the_lpd_of_a_swapped_table(kind):
     table = sm.generate_gaussian_table(2, S, M, 1.0, sm.Corruption(bias=0.7), seed=5,
                                        attach_densities=True)
     cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
-    batches = lm.map_table(table, kind, cfg)
-    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=2)
+    mapped = lm.map_table(table, kind, cfg)
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=2)
     scheme = clf.UNWEIGHTED if kind is lm.MappingKind.MULTICLASS else clf.balanced_binary(M)
-    res = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
-    # replicates follow the runs' batch ids, not the order of the batch list
-    backwards = dg.permutation_test(model, batches[::-1], scheme, B=B, seed=seed)
-    assert backwards.lpd_permuted.tobytes() == res.lpd_permuted.tobytes()
+    res = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
+    # a gathered copy of the runs, in table order, gives the same bits
+    again = dg.permutation_test(model, clf.arrays_from_batches(mapped, np.arange(S)), scheme,
+                                B=B, seed=seed)
+    assert again.lpd_permuted.tobytes() == res.lpd_permuted.tobytes()
     draws = np.random.default_rng(seed).integers(0, M + 1, size=(B, S))
     assert len({tuple(row) for row in draws}) == B
     for b in range(B):
@@ -225,33 +217,17 @@ def test_a_replicate_is_the_lpd_of_a_swapped_table(kind):
         assert abs(lpd - res.lpd_permuted[b]) < 1e-12
 
 
-@pytest.mark.parametrize("layout", ["binary", "multiclass", "two_zeros"])
+@pytest.mark.parametrize("layout", ["binary", "multiclass"])
 def test_permutation_test_observed_is_the_validation_lpd(layout):
     kind = lm.MappingKind.MULTICLASS if layout == "multiclass" else lm.MappingKind.BINARY_FULL
-    batches = make_batches(bias=0.7, d=2, S=30, M=4, seed=2, kind=kind)
-    data = clf.arrays_from_batches(batches)
-    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
+    mapped = make_mapped(bias=0.7, d=2, S=30, M=4, seed=2, kind=kind)
+    data = clf.arrays_from_batches(mapped, np.arange(29, -1, -2))
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=1)
     scheme = clf.balanced_binary(4) if layout == "binary" else clf.UNWEIGHTED
-    if layout == "two_zeros":
-        # a binary run scores one theta; a second label-0 row is rejected
-        labels = data.labels.copy()
-        labels[1::data.rows.shape[1]] = 0  # row 1 of every run takes label 0 too
-        with pytest.raises(sm.InvalidParameterError, match="exactly one label-0 row"):
-            dg.permutation_test(model, dataclasses.replace(data, labels=labels), scheme)
-        return
     res = dg.permutation_test(model, data, scheme, B=300, seed=9)
     lpd, _ = dg.lpd_val(model, data, scheme)
     assert abs(res.lpd_observed - lpd) < 1e-12
     assert 0.0 <= res.p_value <= 1.0
-
-
-def test_permutation_test_rejects_multiclass_labels_out_of_order():
-    batches = make_batches(bias=0.7, d=2, S=10, M=4, seed=2, kind=lm.MappingKind.MULTICLASS)
-    data = clf.arrays_from_batches(batches)
-    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
-    swapped = data.take(np.arange(data.labels.size).reshape(-1, 5)[:, [1, 0, 2, 3, 4]].ravel())
-    with pytest.raises(sm.InvalidParameterError, match="labelled 0..K-1 in order"):
-        dg.permutation_test(model, swapped)
 
 
 def test_multiclass_permutation_p_is_uniform_under_the_null():
@@ -260,11 +236,11 @@ def test_multiclass_permutation_p_is_uniform_under_the_null():
     # labels instead of redrawing theta's occupant gave 82.
     model, hits = None, 0
     for i in range(300):
-        batches = make_batches(bias=0.0, d=2, S=30, M=4, seed=1000 + i,
+        mapped = make_mapped(bias=0.0, d=2, S=30, M=4, seed=1000 + i,
                                kind=lm.MappingKind.MULTICLASS)
         if model is None:
-            model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(4,)), seed=1)
-        hits += dg.permutation_test(model, batches, B=99, seed=i).p_value <= 0.05
+            model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=1)
+        hits += dg.permutation_test(model, mapped, B=99, seed=i).p_value <= 0.05
     assert hits <= 27
 
 
@@ -274,11 +250,11 @@ def test_multiclass_permutation_p_is_uniform_under_the_null():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_permutation_test_properties(d, S, M, multiclass, weighted, B, seed):
     kind = lm.MappingKind.MULTICLASS if multiclass else lm.MappingKind.BINARY_FULL
-    batches = make_batches(bias=0.5, d=d, S=S, M=M, seed=seed % 1000, kind=kind)
-    model = clf.Model(clf.config_for_batches(batches, hidden_sizes=(3,)), seed=seed)
+    mapped = make_mapped(bias=0.5, d=d, S=S, M=M, seed=seed % 1000, kind=kind)
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(3,)), seed=seed)
     scheme = clf.balanced_binary(M) if weighted and not multiclass else clf.UNWEIGHTED
-    res = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
-    again = dg.permutation_test(model, batches, scheme, B=B, seed=seed)
+    res = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
+    again = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
     assert 0.0 <= res.p_value <= 1.0
     assert res.p_value == round(res.p_value * B) / B  # k/B, as the nearest double
     assert res.lpd_permuted.shape == (B,)
@@ -287,26 +263,29 @@ def test_permutation_test_properties(d, S, M, multiclass, weighted, B, seed):
 
 
 def test_permutation_test_validation():
-    batches = make_batches(S=4)
+    mapped = make_mapped(S=4)
     model = oracle_weight_model(1)
     with pytest.raises(sm.InvalidParameterError):
-        dg.permutation_test(model, batches, B=0)
+        dg.permutation_test(model, mapped, B=0)
 
 
 def test_visual_export_layout_and_errors(tmp_path):
-    batches = make_batches(S=5)
+    mapped = make_mapped(S=5)
     model = oracle_weight_model(1)
-    rows = dg.visual_export(model, batches, coordinate=0)
+    rows = dg.visual_export(model, mapped, coordinate=0)
     assert rows.shape == (20, 3)
     assert set(np.unique(rows[:, 2])) <= {0.0, 1.0}
     assert np.all((rows[:, 1] > 0) & (rows[:, 1] < 1))
-    by_name = dg.visual_export(model, batches, coordinate="log_p")
-    data = clf.arrays_from_batches(batches)
-    np.testing.assert_allclose(by_name[:, 0], data.x_lin[:, 0])
+    by_name = dg.visual_export(model, mapped, coordinate="log_p")
+    np.testing.assert_array_equal(by_name[:, 0], mapped.x_lin[:, 0])
+    np.testing.assert_array_equal(by_name[:, 2], mapped.labels)
     with pytest.raises(lm.ConfigurationError):
-        dg.visual_export(model, batches, coordinate=9)
+        dg.visual_export(model, mapped, coordinate=9)
     with pytest.raises(lm.ConfigurationError):
-        dg.visual_export(model, batches, coordinate="mystery")
+        dg.visual_export(model, mapped, coordinate="mystery")
+    assert dg.check_visual(mapped, "log_q") == mapped.d_nonlinear + 1
+    with pytest.raises(lm.ConfigurationError, match="binary models"):
+        dg.check_visual(make_mapped(S=5, kind=lm.MappingKind.MULTICLASS), 0)
     path = tmp_path / "visual.csv"
     dg.write_visual_csv(rows, str(path))
     lines = path.read_text().splitlines()
@@ -333,16 +312,15 @@ def test_visual_export_narrow_posterior_is_u_shaped():
     c = sm.Corruption(variance_scale=0.5)
     t = sm.generate_gaussian_table(1, 800, 7, 1.0, c, seed=17, attach_densities=True)
     cfg = lm.FeatureConfig(linear_features=())
-    batches = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
+    mapped = lm.map_table(t, lm.MappingKind.BINARY_FULL, cfg)
     settings = clf.TrainSettings(learning_rate=0.02, epochs=40, seed=2,
                                  weight_scheme=clf.balanced_binary(7))
-    model_cfg = clf.config_for_batches(batches, hidden_sizes=(16,))
-    model = clf.train(batches, model_cfg, settings)
+    model_cfg = clf.config_for_table(mapped, hidden_sizes=(16,))
+    model = clf.train(mapped, np.arange(len(mapped)), model_cfg, settings)
     # visualize against the standardized residual theta - E[theta|y], the
     # coordinate along which the narrow-posterior signature shows
-    data = clf.arrays_from_batches(batches)
-    resid = data.x_nl[:, 0] - data.x_nl[:, 1] / 2.0
-    preds = dg.visual_export(model, batches, coordinate=0)[:, 1]
+    resid = mapped.x_nl[:, 0] - mapped.x_nl[:, 1] / 2.0
+    preds = dg.visual_export(model, mapped, coordinate=0)[:, 1]
     inner = np.abs(resid) < 0.4
     outer = np.abs(resid) > 1.2
     assert preds[inner].mean() > preds[outer].mean()
@@ -418,7 +396,7 @@ def test_run_pipeline_is_deterministic_for_any_seed(multiclass, d, S, M, seed):
     t = sm.generate_gaussian_table(d, S, M, 1.0, sm.Corruption(bias=0.5), seed=seed % 997,
                                    attach_densities=True)
     cfg = lm.FeatureConfig(linear_features=("log_p",))
-    model_cfg = clf.config_for_table(t, kind, cfg, hidden_sizes=(3,))
+    model_cfg = clf.config_for_table(lm.map_table(t.take([0]), kind, cfg), hidden_sizes=(3,))
     settings = clf.TrainSettings(learning_rate=0.05, epochs=3, minibatch_size=7,
                                  seed=seed, val_fraction=0.3)
     runs = [dg.run_pipeline(t, kind, cfg, model_cfg=model_cfg, settings=settings,
@@ -426,6 +404,75 @@ def test_run_pipeline_is_deterministic_for_any_seed(multiclass, d, S, M, seed):
     (rep1, test1, _), (rep2, test2, _) = runs
     assert dg.report_to_dict(rep1, test1) == dg.report_to_dict(rep2, test2)
     assert test1.lpd_permuted.tobytes() == test2.lpd_permuted.tobytes()
+
+
+# report_to_dict's numbers for three fixed cases, to 1e-12: a change of the
+# data layout or of a reduction order that moves any bit fails here
+PINNED_REPORTS = {
+    "binary_full": dict(
+        lpd_val=-0.687998086017778, class_weights=[0.25, 0.75],
+        entropy_offset=0.6931471805599453, divergence=0.005149094542167276,
+        ci_low=-0.015960381902606943, ci_high=0.020138194188468565, ci_level=0.95,
+        ci_widened=False, upper_bound=0.6931471805599453, n_val_examples=48,
+        lpd_observed=-0.687998086017778, p_value=0.275, B=40),
+    "binary_rank": dict(
+        lpd_val=-0.5197937168809665, class_weights=[0.2, 0.8],
+        entropy_offset=0.5004024235381879, divergence=-0.01939129334277867,
+        ci_low=-0.057457015492989455, ci_high=0.024509473463130895, ci_level=0.95,
+        ci_widened=False, upper_bound=0.5004024235381879, n_val_examples=50,
+        lpd_observed=-0.5197937168809665, p_value=0.575, B=40),
+    "multiclass": dict(
+        lpd_val=-1.7195717285664986, class_weights=[1 / 6] * 6,
+        entropy_offset=1.7917594692280547, divergence=0.07218774066155609,
+        ci_low=-0.014252494040979367, ci_high=0.15615417042288796, ci_level=0.95,
+        ci_widened=False, upper_bound=1.7917594692280547, n_val_examples=72,
+        lpd_observed=-1.7195717285664982, p_value=0.15, B=40),
+}
+
+
+def pinned_case(name):
+    """(table, kind, feature config, model config, settings) of a pinned case."""
+    if name == "binary_full":
+        t = sm.generate_gaussian_table(1, 60, 3, 1.0, sm.Corruption(bias=0.3), seed=11,
+                                       attach_densities=True)
+        return (t, lm.MappingKind.BINARY_FULL,
+                lm.FeatureConfig(linear_features=("log_p", "log_q")),
+                clf.ModelConfig(clf.ARCH_BINARY, input_dim=2, hidden_sizes=(4,),
+                                n_linear_features=2),
+                clf.TrainSettings(learning_rate=0.02, epochs=4, minibatch_size=32, seed=12,
+                                  weight_scheme=clf.balanced_binary(3)))
+    if name == "binary_rank":
+        t = sm.generate_gaussian_table(1, 50, 4, 1.0, sm.Corruption(variance_scale=0.6),
+                                       seed=21, attach_densities=True)
+        return (t, lm.MappingKind.BINARY_RANK,
+                lm.FeatureConfig(linear_features=("log_p", "rank")),
+                clf.ModelConfig(clf.ARCH_BINARY, input_dim=1, hidden_sizes=(5,),
+                                n_linear_features=2),
+                clf.TrainSettings(learning_rate=0.02, epochs=4, minibatch_size=16, seed=22))
+    # minibatch_size 4 < K = 6: one whole run per step
+    t = sm.generate_gaussian_table(1, 40, 5, 1.0, sm.Corruption(bias=0.2), seed=31,
+                                   attach_densities=True)
+    return (t, lm.MappingKind.MULTICLASS,
+            lm.FeatureConfig(linear_features=("log_p", "log_q")),
+            clf.ModelConfig(clf.ARCH_MULTICLASS, input_dim=2, hidden_sizes=(4,),
+                            n_linear_features=2, class_count=6),
+            clf.TrainSettings(learning_rate=0.02, epochs=4, minibatch_size=4, seed=32,
+                              val_fraction=0.3))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_run_pipeline_reports_pinned_numbers(name):
+    # a change of layout or of reduction order moves these bits; the
+    # determinism test compares a run only with itself and would not notice
+    table, kind, cfg, model_cfg, settings = pinned_case(name)
+    rep, test, _ = dg.run_pipeline(table, kind, cfg, model_cfg=model_cfg, settings=settings,
+                                   B=40, R=150)
+    got = dg.report_to_dict(rep, test)
+    want = PINNED_REPORTS[name]
+    assert set(got) - {"config"} == set(want)
+    for key, value in want.items():
+        np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=0, err_msg=key)
+    assert got["ci_widened"] is want["ci_widened"]
 
 
 def test_run_pipeline_stage_errors():
