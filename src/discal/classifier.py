@@ -153,15 +153,10 @@ class Model:
         layers = list(zip(dims[:-1], dims[1:]))
         nlin = config.n_linear_features
         shapes = layers + [(fan_out,) for _, fan_out in layers] + [(nlin,)]
-        self.params = np.zeros(sum(math.prod(shape) for shape in shapes))
-        views, offset = [], 0
-        for shape in shapes:
-            n = math.prod(shape)
-            views.append(self.params[offset:offset + n].reshape(shape))
-            offset += n
-        self.weights = views[:len(layers)]
-        self.biases = views[len(layers):-1]
-        self.w_linear = views[-1]
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self.blocks = list(zip([0] + ends, ends, shapes))   # (start, end, shape)
+        self.params = np.zeros(ends[-1])
+        self.weights, self.biases, self.w_linear = self.layout(self.params)
         for W, (fan_in, fan_out) in zip(self.weights, layers):
             bound = 1.0 / np.sqrt(max(fan_in, 1))
             W[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -169,6 +164,12 @@ class Model:
         self.w_linear[...] = rng.uniform(-bound, bound, size=nlin)
         self.x_mean = np.zeros(config.input_dim)
         self.x_scale = np.ones(config.input_dim)
+
+    def layout(self, flat):
+        """(weights, biases, w_linear): views of a flat vector laid out like params."""
+        views = [flat[start:end].reshape(shape) for start, end, shape in self.blocks]
+        n_layers = len(self.config.hidden_sizes) + 1
+        return views[:n_layers], views[n_layers:-1], views[-1]
 
     # ---- parameter plumbing -------------------------------------------------
 
@@ -191,31 +192,39 @@ class Model:
 
     # ---- forward ------------------------------------------------------------
 
-    def _activation(self, z):
-        return np.tanh(z) if self.config.activation == "tanh" else np.maximum(z, 0.0)
-
     def _mlp_forward(self, X, keep_cache=False):
-        """Scalar MLP output for each row of X (already standardized)."""
+        """Scalar MLP output for each row of X (already standardized).
+
+        Bias adds and activations write into the array each matmul made.
+        """
         cache = [X]
         h = X
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._activation(h @ W + b)
+            h = h @ W
+            h += b
+            h = (np.tanh(h, out=h) if self.config.activation == "tanh"
+                 else np.maximum(h, 0.0, out=h))
             cache.append(h)
-        out = (h @ self.weights[-1] + self.biases[-1]).ravel()
+        out = (h @ self.weights[-1]).ravel()
+        out += self.biases[-1]
         return (out, cache) if keep_cache else out
 
     def score(self, x_nl, x_lin, keep_cache=False):
-        X = x_nl if self.x_mean is None else (x_nl - self.x_mean) / self.x_scale
-        if keep_cache:
-            out, cache = self._mlp_forward(X, keep_cache=True)
-            return out + x_lin @ self.w_linear, cache
-        return self._mlp_forward(X) + x_lin @ self.w_linear
+        """Scores of rows (x_nl, x_lin), in a fresh array; the rows are only read."""
+        if self.x_mean is not None:
+            x_nl = x_nl - self.x_mean
+            x_nl /= self.x_scale
+        forward = self._mlp_forward(x_nl, keep_cache)
+        out = forward[0] if keep_cache else forward
+        out += x_lin @ self.w_linear
+        return forward
 
 
 def _softmax(scores):
     z = scores - scores.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 # ---- dataset assembly -------------------------------------------------------
@@ -252,7 +261,9 @@ def config_for_table(mapped, hidden_sizes=(64, 64), activation="tanh"):
 # ---- loss and gradient ------------------------------------------------------
 
 def _clamped_log(p):
-    return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    """Clamped log of probabilities p, written over p."""
+    np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+    return np.log(p, out=p)
 
 
 def class_log_probs(model, data):
@@ -260,8 +271,8 @@ def class_log_probs(model, data):
     if data.multiclass:
         raise InvalidParameterError("class_log_probs scores binary examples; "
                                     "multiclass examples are scored per run by run_log_probs")
-    x_nl, x_lin = data.scored_rows()
-    p1 = expit(model.score(x_nl, x_lin))
+    p1 = model.score(*data.scored_rows())
+    expit(p1, out=p1)
     return _clamped_log(np.column_stack([1.0 - p1, p1]))
 
 
@@ -282,14 +293,18 @@ def label_log_probs(model, data):
     """(N,) clamped log predicted probability of each example's own label."""
     if data.multiclass:
         return np.repeat(run_log_probs(model, data)[:, 0], data.n_classes)
-    labels = data.labels
-    return class_log_probs(model, data)[np.arange(labels.size), labels]
+    # the label-0 column of class_log_probs, 1 - Pr(t=1), only where it is read
+    p = model.score(*data.scored_rows())
+    expit(p, out=p)
+    np.subtract(1.0, p, out=p, where=data.labels == 0)
+    return _clamped_log(p)
 
 
 def loss(model, data, weight_scheme=UNWEIGHTED):
     """Mean weighted negative log predicted probability of the true label."""
-    w = example_weights(data.labels, weight_scheme)
-    return float(-np.mean(w * label_log_probs(model, data)))
+    terms = label_log_probs(model, data)
+    terms *= example_weights(data.labels, weight_scheme)
+    return float(-np.mean(terms))
 
 
 def gradient(model, data, weight_scheme=UNWEIGHTED):
@@ -310,33 +325,37 @@ def gradient(model, data, weight_scheme=UNWEIGHTED):
         dout = dscore.reshape(-1)
     else:
         labels = data.labels
-        w = example_weights(labels, weight_scheme)
-        dout = w * (expit(scores) - labels) / labels.size
+        dout = expit(scores, out=scores)
+        dout -= labels
+        dout *= example_weights(labels, weight_scheme)
+        dout /= labels.size
     return _backprop(model, cache, x_lin, dout)
 
 
 def _backprop(model, cache, x_lin, dout):
-    """Flat gradient from d(loss)/d(score) and the forward pass's cache."""
-    gw = [None] * len(model.weights)
-    gb = [None] * len(model.biases)
-    gw[-1] = cache[-1].T @ dout[:, None]
-    gb[-1] = np.array([dout.sum()])
+    """Flat gradient, laid out like model.params, from d(loss)/d(score).
+
+    Consumes the forward pass's cache: its hidden activations are overwritten.
+    """
+    flat = np.empty_like(model.params)
+    gw, gb, g_lin = model.layout(flat)
+    np.matmul(cache[-1].T, dout[:, None], out=gw[-1])
+    gb[-1][0] = dout.sum()
     da = np.outer(dout, model.weights[-1].ravel())
     for i in range(len(model.weights) - 2, -1, -1):
         a = cache[i + 1]
         if model.config.activation == "tanh":
-            dz = da * (1.0 - a * a)
+            da *= np.subtract(1.0, np.multiply(a, a, out=a), out=a)
         else:
-            dz = da * (a > 0)
-        gw[i] = cache[i].T @ dz
-        gb[i] = dz.sum(axis=0)
+            da *= a > 0
+        np.matmul(cache[i].T, da, out=gw[i])
+        da.sum(axis=0, out=gb[i])
         if i > 0:
-            da = dz @ model.weights[i].T
+            da = da @ model.weights[i].T
     # a contiguous copy: x_lin.T @ dout on a column view of the row block
     # reduces in another order and changes the last bits
-    g_lin = np.ascontiguousarray(x_lin).T @ dout
-    return np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb]
-                          + [g_lin.ravel()])
+    np.matmul(np.ascontiguousarray(x_lin).T, dout, out=g_lin)
+    return flat
 
 
 # ---- training ---------------------------------------------------------------

@@ -262,7 +262,7 @@ def cmd_report(args):
         with open(args.report) as fh:
             payload = json.load(fh)
         print(dg.format_report(payload))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print("error: cannot render report: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -65,7 +65,8 @@ def lpd_val(model, data, weight_scheme=clf.UNWEIGHTED):
     Returns (lpd, per-example scores); the scores feed bootstrap_ci.  A
     multiclass run's K examples share one value, repeated K times.
     """
-    scores = clf.example_weights(data.labels, weight_scheme) * clf.label_log_probs(model, data)
+    scores = clf.label_log_probs(model, data)
+    scores *= clf.example_weights(data.labels, weight_scheme)
     if scores.size == 0:
         raise InvalidParameterError("empty validation set")
     return float(scores.mean()), scores
@@ -246,8 +247,8 @@ def visual_export(model, mapped, coordinate=0):
     """
     column = check_visual(mapped, coordinate)
     values = mapped.rows.reshape(-1, mapped.rows.shape[-1])[:, column]
-    preds = expit(model.score(mapped.x_nl, mapped.x_lin))
-    return np.column_stack([values, preds, mapped.labels.astype(float)])
+    preds = model.score(mapped.x_nl, mapped.x_lin)
+    return np.column_stack([values, expit(preds, out=preds), mapped.labels])
 
 
 def write_visual_csv(rows, path):

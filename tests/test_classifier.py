@@ -790,3 +790,98 @@ def test_second_moment_overflow_raises():
                             settings=clf.TrainSettings(epochs=3, seed=0), B=10, R=100)
     assert err.value.stage == "train"
     assert isinstance(err.value.original, clf.TrainingDivergedError)
+
+
+# ---- in-place passes --------------------------------------------------------
+
+@pytest.mark.parametrize("hidden, activation", [((5, 3), "tanh"), ((5, 3), "relu"),
+                                                ((), "tanh")])
+@pytest.mark.parametrize("standardized_rows", [False, True])
+@pytest.mark.parametrize("kind", [lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS])
+def test_passes_only_read_the_mapped_rows(hidden, activation, standardized_rows, kind):
+    # map_table's rows are read-only, so a pass that wrote into its input
+    # rows (or into the views it scores from) would raise here
+    from discal import diagnostics as dg
+    mapped = make_mapped(kind, d=2, S=6)
+    assert not mapped.rows.flags.writeable
+    before = mapped.rows.copy()
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=hidden,
+                                           activation=activation), seed=2)
+    if standardized_rows:
+        # as inside train: the rows are scored as they are
+        model.x_mean = model.x_scale = None
+    params = model.get_params()
+    scheme = clf.UNWEIGHTED if mapped.multiclass else clf.balanced_binary(3)
+    g1 = clf.gradient(model, mapped, scheme)
+    g2 = clf.gradient(model, mapped, scheme)
+    assert not np.shares_memory(g1, g2)
+    assert not np.shares_memory(g1, model.params)
+    np.testing.assert_array_equal(g1, g2)
+    scores = model.score(mapped.x_nl, mapped.x_lin)
+    for source in (mapped.rows, mapped.x_nl, mapped.x_lin, model.params):
+        assert not np.shares_memory(scores, source)
+    assert np.isfinite(clf.loss(model, mapped, scheme))
+    assert np.isfinite(dg.lpd_val(model, mapped, scheme)[0])
+    if not (standardized_rows or mapped.multiclass):
+        assert dg.visual_export(model, mapped).shape == (mapped.rows[..., 0].size, 3)
+    np.testing.assert_array_equal(mapped.rows, before)
+    np.testing.assert_array_equal(model.get_params(), params)
+
+
+def saturating_binary_table():
+    """A binary table with one linear feature spanning [-40, 40], ends included."""
+    values = np.concatenate([[-40.0, 40.0], np.linspace(-40.0, 40.0, 22)])
+    rows = values.reshape(6, 4, 1)
+    return lm.MappedTable(rows, np.arange(6), lm.MappingKind.BINARY_FULL, d_nonlinear=0)
+
+
+def linear_model(n_linear, class_count=2, architecture=clf.ARCH_BINARY):
+    cfg = clf.ModelConfig(architecture=architecture, input_dim=0, hidden_sizes=(),
+                          n_linear_features=n_linear, class_count=class_count)
+    model = clf.Model(cfg, seed=0)
+    params = np.zeros(model.params.size)
+    params[-n_linear:] = 1.0
+    model.set_params(params)
+    return model
+
+
+def test_binary_label_log_probs_is_the_label_column_bit_for_bit():
+    data = saturating_binary_table()
+    model = linear_model(1)
+    scores = model.score(data.x_nl, data.x_lin)
+    # the clamp is active at both ends of both columns
+    assert scores.min() == -40.0 and scores.max() == 40.0
+    full = clf.class_log_probs(model, data)
+    assert (full == np.log(clf.PROB_CLAMP)).any(axis=0).all()
+    assert (full == np.log(1.0 - clf.PROB_CLAMP)).any(axis=0).all()
+    labels = data.labels
+    np.testing.assert_array_equal(clf.label_log_probs(model, data),
+                                  full[np.arange(labels.size), labels])
+    # and on a trained-looking model over ordinary rows
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=2, S=10, bias=0.5)
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4, 3)), seed=4)
+    rng = np.random.default_rng(1)
+    model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
+    labels = mapped.labels
+    np.testing.assert_array_equal(
+        clf.label_log_probs(model, mapped),
+        clf.class_log_probs(model, mapped)[np.arange(labels.size), labels])
+
+
+@pytest.mark.parametrize("saturated", [False, True])
+def test_run_log_probs_is_the_clamped_log_of_the_softmax_bit_for_bit(saturated):
+    if saturated:
+        values = np.concatenate([[-40.0, 40.0], np.linspace(-40.0, 40.0, 22)])
+        mapped = lm.MappedTable(values.reshape(6, 4, 1), np.arange(6),
+                                lm.MappingKind.MULTICLASS, d_nonlinear=0)
+        model = linear_model(1, class_count=4, architecture=clf.ARCH_MULTICLASS)
+    else:
+        mapped = make_mapped(lm.MappingKind.MULTICLASS, d=2, S=10, M=4, bias=0.5)
+        model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(6, 3)), seed=3)
+    scores = model.score(mapped.x_nl, mapped.x_lin).reshape(-1, mapped.n_classes)
+    want = np.log(np.clip(reference_softmax(scores), clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP))
+    if saturated:
+        assert (want == np.log(clf.PROB_CLAMP)).any()
+        assert (want == np.log(1.0 - clf.PROB_CLAMP)).any()
+    np.testing.assert_array_equal(clf.run_log_probs(model, mapped), want)
+    np.testing.assert_array_equal(clf._clamped_log(reference_softmax(scores)), want)

@@ -289,6 +289,20 @@ def test_report_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+REPORT_FIELDS = {"divergence": 0.1, "ci_low": 0.0, "ci_high": 0.2, "upper_bound": 0.7,
+                 "lpd_val": -0.6, "n_val_examples": 10, "p_value": 0.5, "B": 10}
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {**REPORT_FIELDS, "divergence": "x"}],
+                         ids=["top_level_list", "string_number"])
+def test_report_rejects_a_malformed_report(tmp_path, capsys, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    code = run(["report", str(path)])
+    assert code == 1
+    assert "error: cannot render report: " in capsys.readouterr().err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         run(["frobnicate"])
