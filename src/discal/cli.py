@@ -261,8 +261,13 @@ def cmd_report(args):
     try:
         with open(args.report) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("the report is not a JSON object")
         print(dg.format_report(payload))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        print("error: cannot render report: missing field %s" % exc, file=sys.stderr)
+        return 1
+    except (OSError, ValueError, TypeError) as exc:
         print("error: cannot render report: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -293,14 +295,31 @@ REPORT_FIELDS = {"divergence": 0.1, "ci_low": 0.0, "ci_high": 0.2, "upper_bound"
                  "lpd_val": -0.6, "n_val_examples": 10, "p_value": 0.5, "B": 10}
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {**REPORT_FIELDS, "divergence": "x"}],
-                         ids=["top_level_list", "string_number"])
-def test_report_rejects_a_malformed_report(tmp_path, capsys, payload):
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "the report is not a JSON object"),
+    ("x", "the report is not a JSON object"),
+    ({**REPORT_FIELDS, "divergence": "x"}, "not str"),
+    ({"divergence": 0.1}, "missing field 'ci_low'"),
+    ({k: v for k, v in REPORT_FIELDS.items() if k != "B"}, "missing field 'B'"),
+], ids=["top_level_list", "top_level_string", "string_number", "divergence_only", "no_B"])
+def test_report_rejects_a_malformed_report(tmp_path, capsys, payload, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))
     code = run(["report", str(path)])
     assert code == 1
-    assert "error: cannot render report: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot render report: ") and message in err
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats alone about doubles a cold start's import time and memory
+    code = "import sys, discal.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_unknown_command_exits():

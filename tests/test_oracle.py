@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import chisquare, norm
 
 from discal import label_mapping as lm
 from discal import oracle
@@ -241,6 +241,36 @@ def test_sbc_rank_test_null_and_power():
     assert reject_bad
     with pytest.raises(sm.InvalidParameterError):
         oracle.sbc_rank_test(null, n_bins=1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("M, n_bins", [(39, 2), (39, 20), (39, 40), (39, 7), (9, 3)],
+                         ids=["2_bins", "20_bins", "M+1_bins", "unequal_7_of_40",
+                              "unequal_3_of_10"])
+@pytest.mark.parametrize("bias", [0.0, 0.3, 1.0])
+def test_sbc_pvalues_are_chisquare_bit_for_bit(d, M, n_bins, bias):
+    t = sm.generate_gaussian_table(d, 200, M, 1.0, sm.Corruption(bias=bias), seed=M + d)
+    pvals, _ = oracle.sbc_rank_test(t, n_bins=n_bins, seed=5)
+    edges = np.floor(np.arange(n_bins + 1) * (M + 1) / n_bins).astype(int)
+    exp = t.S * np.diff(edges) / (M + 1.0)
+    ref = []
+    for j, child in enumerate(np.random.SeedSequence(5).spawn(d)):
+        ranks = oracle.sbc_ranks(t, coordinate=j, seed=int(child.generate_state(1)[0]))
+        ref.append(chisquare(np.histogram(ranks, bins=edges)[0], exp).pvalue)
+    np.testing.assert_array_equal(pvals, ref)
+
+
+def test_pearson_pvalue_checks_the_totals():
+    exp = np.array([2.5, 2.5, 5.0])
+    assert oracle._pearson_pvalue([3, 2, 5], exp) == chisquare([3, 2, 5], exp).pvalue
+    # chisquare's tolerance: totals may differ by a relative sqrt(eps) ~ 1.5e-8
+    near, off = exp * [1, 1, 1 + 2e-9], exp * [1, 1, 1 + 4e-8]
+    assert oracle._pearson_pvalue([3, 2, 5], near) == chisquare([3, 2, 5], near).pvalue
+    for obs, e in (([3, 2, 6], exp), ([3, 2, 5], off)):
+        with pytest.raises(sm.InvalidParameterError, match="differ"):
+            oracle._pearson_pvalue(obs, e)
+        with pytest.raises(ValueError):
+            chisquare(obs, e)
 
 
 def test_naive_bayes_rank_divergence():
