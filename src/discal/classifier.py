@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import label_mapping as lm
 from .sim_model import InvalidParameterError
@@ -218,6 +217,19 @@ class Model:
         out = forward[0] if keep_cache else forward
         out += x_lin @ self.w_linear
         return forward
+
+
+def expit(x, out=None):
+    """The logistic sigmoid 1 / (1 + exp(-x)) of a float array, into `out` (may be x).
+
+    exp(-x) overflows to inf below x = -709.78, which gives exactly 0 and
+    no warning, as at x = -inf.
+    """
+    out = np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _softmax(scores):

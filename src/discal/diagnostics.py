@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import classifier as clf
 from . import label_mapping as lm
@@ -248,7 +247,7 @@ def visual_export(model, mapped, coordinate=0):
     column = check_visual(mapped, coordinate)
     values = mapped.rows.reshape(-1, mapped.rows.shape[-1])[:, column]
     preds = model.score(mapped.x_nl, mapped.x_lin)
-    return np.column_stack([values, expit(preds, out=preds), mapped.labels])
+    return np.column_stack([values, clf.expit(preds, out=preds), mapped.labels])
 
 
 def write_visual_csv(rows, path):

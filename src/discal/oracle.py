@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import chdtrc, gammaln
 
 from .label_mapping import _jittered_ranks_all
 from .sim_model import InvalidParameterError
@@ -188,6 +187,8 @@ def discrete_chi2(p, q, py=None):
 
 def _multinomial_counts(M, q):
     """Yield (counts, probability) over outcomes of M iid draws from q."""
+    from scipy.special import gammaln
+
     n = q.shape[0]
     logq = np.full(n, -np.inf)
     np.log(q, out=logq, where=q > 0)
@@ -384,6 +385,8 @@ def _pearson_pvalue(obs, exp):
     The same float64 operations as `scipy.stats.chisquare(obs, exp).pvalue`,
     including its check that the totals agree to a relative sqrt(eps).
     """
+    from scipy.special import chdtrc
+
     obs = np.asarray(obs, dtype=np.float64)
     exp = np.asarray(exp, dtype=np.float64)
     obs_sum, exp_sum = obs.sum(), exp.sum()

@@ -112,7 +112,8 @@ class SimulationTable:
     theta is (S, d_theta), y (S, d_y) and draws (S, M, d_theta).  log_p /
     log_q, when present, are (S, M+1): log p(theta|y) and log q(theta|y)
     at [theta, draw_1, ..., draw_M], each up to an additive constant shared
-    within the run.  run_ids are unique integers, arange(S) by default.
+    within the run.  run_ids are unique integers in the int64 range, arange(S)
+    by default.
     The table keeps read-only views of the arrays it validated, so a later
     write raises instead of slipping past validation; the caller's own
     arrays stay writeable.
@@ -136,8 +137,10 @@ class SimulationTable:
         S, M, d = self.draws.shape
         ids = np.arange(S) if self.run_ids is None else np.asarray(self.run_ids)
         self.run_ids = ids
-        if ids.shape != (S,) or ids.dtype.kind not in "iu":
-            raise InvalidParameterError("run_ids must be S=%d integers" % S)
+        # the table format's run_id is an int64, so every valid table reads back
+        if (ids.shape != (S,) or ids.dtype.kind not in "iu"
+                or np.any(ids > np.iinfo(np.int64).max)):
+            raise InvalidParameterError("run_ids must be S=%d integers in the int64 range" % S)
         shapes = {"theta": (S, d), "y": (S, self.d_y), "draws": (S, M, d),
                   "log_p": (S, M + 1), "log_q": (S, M + 1)}
         for name, shape in shapes.items():
@@ -313,10 +316,7 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
 
 
 def write_table(table, path):
-    """Write a table as JSONL: header line, then one run per line.
-
-    The written file is re-parsed as a self-check before returning.
-    """
+    """Write a table as JSONL: header line, then one run per line."""
     names = [name for name in ("theta", "y", "draws", "log_p", "log_q")
              if getattr(table, name) is not None]
     columns = [getattr(table, name).tolist() for name in names]
@@ -325,7 +325,6 @@ def write_table(table, path):
         fh.write(json.dumps(header) + "\n")
         for run_id, *values in zip(table.run_ids.tolist(), *columns):
             fh.write(json.dumps({"run_id": run_id, **dict(zip(names, values))}) + "\n")
-    read_table(path)  # the self-check; it also checks the run count against S
 
 
 def _json_object(raw, what, lineno):

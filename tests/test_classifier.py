@@ -78,6 +78,23 @@ def test_forward_binary_sigmoid_of_score():
     np.testing.assert_allclose(logp[6], np.log([1.0 - p1, p1]), rtol=1e-12)
 
 
+def test_expit_agrees_with_scipy():
+    # numpy's exp and libm's may differ in the last bit, which the
+    # reciprocal can widen to a few ulp; the edges are exact
+    rng = np.random.default_rng(0)
+    for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 400.0):
+        x = rng.normal(scale=scale, size=20000)
+        np.testing.assert_array_max_ulp(clf.expit(x), expit(x), maxulp=4)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, -745.0,
+                      800.0, -800.0, 1e308, -1e308, 5e-324])
+    np.testing.assert_array_equal(clf.expit(edges), expit(edges))
+    assert clf.expit(np.array([-745.0]))[0] == 0.0
+    x = rng.normal(size=50)
+    want = clf.expit(x)
+    assert clf.expit(x, out=x) is x
+    np.testing.assert_array_equal(x, want)
+
+
 def test_separable_multiclass_permutation_equivariance():
     cfg = clf.ModelConfig(architecture=clf.ARCH_MULTICLASS, input_dim=3,
                           hidden_sizes=(5,), n_linear_features=2, class_count=4)
@@ -336,13 +353,16 @@ def reference_softmax(scores):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
+# the binary branches below take clf.expit, so the bit-for-bit comparisons
+# check the training loop and layout; test_expit_agrees_with_scipy checks
+# the sigmoid itself
 def reference_class_log_probs(model, mc, x_nl, x_lin):
     if mc:
         N, K, d = x_nl.shape
         probs = reference_softmax(model.score(x_nl.reshape(N * K, d),
                                               x_lin.reshape(N * K, -1)).reshape(N, K))
     else:
-        p1 = expit(model.score(x_nl, x_lin))
+        p1 = clf.expit(model.score(x_nl, x_lin))
         probs = np.column_stack([1.0 - p1, p1])
     return np.log(np.clip(probs, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP))
 
@@ -367,7 +387,7 @@ def reference_gradient(model, arrays, scheme):
         dscore *= (w / n)[:, None]
         dout = dscore.reshape(N * K)
     else:
-        dout = w * (expit(model.score(x_nl, x_lin)) - labels) / n
+        dout = w * (clf.expit(model.score(x_nl, x_lin)) - labels) / n
     _, cache = model.mlp_forward((x_nl - model.x_mean) / model.x_scale)
     gw = [None] * len(model.weights)
     gb = [None] * len(model.biases)

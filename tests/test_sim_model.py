@@ -181,6 +181,10 @@ def test_table_validation():
     with pytest.raises(sm.InvalidParameterError, match="run_ids"):
         sm.SimulationTable(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2, 1)),
                            run_ids=[0])
+    # the table format's run_id is an int64
+    with pytest.raises(sm.InvalidParameterError, match="int64"):
+        sm.SimulationTable(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2, 1)),
+                           run_ids=np.array([0, 2**63], dtype=np.uint64))
     # an empty table is valid; the sizes come from the shapes
     empty = sm.SimulationTable(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 3, 2)))
     assert (empty.S, empty.M, empty.d_theta, empty.d_y) == (0, 3, 2, 1)
@@ -225,6 +229,24 @@ def test_write_read_round_trip(tmp_path):
     sm.write_table(t, str(path))
     back = sm.read_table(str(path))
     assert back.S == t.S and back.M == t.M and back.d_theta == t.d_theta
+    np.testing.assert_array_equal(back.run_ids, t.run_ids)
+    for name in ("theta", "y", "draws", "log_p", "log_q"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(t, name))
+
+
+def test_write_table_does_not_reread_its_file(tmp_path, monkeypatch):
+    # a table has passed validation before it is written
+    t = sm.generate_gaussian_table(2, 5, 3, 1.0, sm.Corruption(bias=0.1), seed=1,
+                                   attach_densities=True)
+    read_table = sm.read_table
+
+    def refuse(path):
+        raise AssertionError("write_table re-read %s" % path)
+
+    monkeypatch.setattr(sm, "read_table", refuse)
+    path = tmp_path / "table.jsonl"
+    sm.write_table(t, str(path))
+    back = read_table(str(path))
     np.testing.assert_array_equal(back.run_ids, t.run_ids)
     for name in ("theta", "y", "draws", "log_p", "log_q"):
         np.testing.assert_array_equal(getattr(back, name), getattr(t, name))
