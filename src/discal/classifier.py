@@ -301,22 +301,36 @@ def run_log_probs(model, data):
     return _clamped_log(_softmax(occupant_scores))
 
 
-def label_log_probs(model, data):
-    """(N,) clamped log predicted probability of each example's own label."""
+def label_table(model, data, weight_scheme=UNWEIGHTED):
+    """(R, K) weighted label log-likelihoods of R whole runs, one scoring pass.
+
+    T[s, j] is the sum of the weighted clamped log probabilities of run s's
+    K example labels if occupant j held theta; column 0 holds the observed
+    labels.  With occupant j as theta a binary run's row j has label 0 and
+    every other row label 1, so T[s, j] = sum_k w1 L1[s, k] + (w0 L0[s, j]
+    - w1 L1[s, j]), and rows that score the same give equal columns, bit
+    for bit.  All K examples of a multiclass run have the probability that
+    theta's occupant holds theta, so T is run_log_probs times the sum of the
+    K labels' weights.
+    """
     if data.multiclass:
-        return np.repeat(run_log_probs(model, data)[:, 0], data.n_classes)
-    # the label-0 column of class_log_probs, 1 - Pr(t=1), only where it is read
-    p = model.score(*data.scored_rows())
-    expit(p, out=p)
-    np.subtract(1.0, p, out=p, where=data.labels == 0)
-    return _clamped_log(p)
+        return run_log_probs(model, data) * example_weights(np.arange(data.n_classes),
+                                                            weight_scheme).sum()
+    L = class_log_probs(model, data).reshape(data.rows.shape[:2] + (2,))
+    L *= example_weights(np.arange(2), weight_scheme)
+    T = np.subtract(L[:, :, 0], L[:, :, 1])
+    T += L[:, :, 1].sum(axis=1, keepdims=True)
+    return T
+
+
+def table_lpd(T):
+    """Mean weighted log probability of the observed labels: T[:, 0] over R*K examples."""
+    return float(T[:, 0].sum() / T.size)
 
 
 def loss(model, data, weight_scheme=UNWEIGHTED):
     """Mean weighted negative log predicted probability of the true label."""
-    terms = label_log_probs(model, data)
-    terms *= example_weights(data.labels, weight_scheme)
-    return float(-np.mean(terms))
+    return -table_lpd(label_table(model, data, weight_scheme))
 
 
 def gradient(model, data, weight_scheme=UNWEIGHTED):

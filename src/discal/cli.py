@@ -123,8 +123,9 @@ def cmd_diagnose(args):
                                  seed=args.seed, val_fraction=args.val_fraction)
     kind = MAPPING_NAMES[args.mapping]
     # the first run's map has the layout of the whole table's: the model and
-    # the --visual request are checked against it before any training
-    head = lm.map_table(table.take([0]), kind, cfg)
+    # the --visual request are checked against it before any training (a
+    # table without runs stops here, with map_table's error)
+    head = lm.map_table(table.take(slice(1)), kind, cfg)
     coord = args.coordinate
     coord = int(coord) if coord.lstrip("-").isdigit() else coord
     if args.visual:
@@ -139,12 +140,15 @@ def cmd_diagnose(args):
             "hidden": list(args.hidden), "epochs": args.epochs, "lr": args.lr,
             "B": args.B, "R": args.R, "alpha": args.alpha, "seed": args.seed}
     payload = dg.report_to_dict(report, test, config_echo=echo)
-    text = json.dumps(payload, indent=2)
+    try:
+        # strict JSON: a NaN or infinity fails here, before any file is written
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        print("error: cannot write the report: %s" % exc, file=sys.stderr)
+        return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        with open(args.out) as fh:
-            json.load(fh)  # self-check
     if args.visual:
         # the rows the model was scored on, mapped with run_pipeline's seed
         mapped = lm.map_table(table, kind, cfg, seed=dg.pipeline_seeds(args.seed)[0])

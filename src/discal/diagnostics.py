@@ -6,13 +6,19 @@ The point estimate is LPD + entropy offset: for an unweighted classifier the
 offset is -sum_k w_k log w_k (label entropy), and the estimate lower-bounds
 the divergence induced by the label mapping.  For the balanced binary
 weighting the offset is log 2 and the estimate targets the conditional
-Jensen-Shannon divergence.  The permutation test's exchangeable unit is
-which of a run's K = M+1 occupants holds theta: under calibration theta
-and the M draws are exchangeable given y, so each replicate redraws it per
-run.  That keeps the p-value exact at any sample size for IID draws, under
-every mapping.  It reports p = #{b : LPD_b >= observed LPD} / B and gathers
-its B replicates from one matrix of log probabilities in bounded chunks,
-with no loop over B.
+Jensen-Shannon divergence.
+
+The run is the scoring unit.  The LPD, its bootstrap and the permutation
+test all read one (R, K) table of whole validation runs,
+clf.label_table: the LPD is its column 0 over the R*K examples, the
+Bayesian bootstrap resamples the per-run means of that column, and the
+permutation test gathers its replicates from the other columns.  The
+test's exchangeable unit is which of a run's K = M+1 occupants holds
+theta: under calibration theta and the M draws are exchangeable given y,
+so each replicate redraws it per run.  That keeps the p-value exact at any
+sample size for IID draws, under every mapping.  It reports
+p = #{b : LPD_b >= observed LPD} / B and gathers its B replicates in
+bounded chunks, with no loop over B.
 """
 
 from __future__ import annotations
@@ -59,21 +65,16 @@ class TestResult:
 
 
 def lpd_val(model, data, weight_scheme=clf.UNWEIGHTED):
-    """Mean (weighted) log predicted probability of the true labels of a mapped table.
+    """Mean (weighted) log predicted probability of the true labels of whole runs.
 
-    Returns (lpd, per-example scores); the scores feed bootstrap_ci.  A
-    multiclass run's K examples share one value, repeated K times.
+    Returns (lpd, per-run scores) from one clf.label_table T: the LPD is
+    clf.table_lpd(T), column 0 over the R*K examples, and run s's score is
+    T[s, 0] / K, the mean over its K examples; the scores feed bootstrap_ci.
     """
-    scores = clf.label_log_probs(model, data)
-    scores *= clf.example_weights(data.labels, weight_scheme)
-    if scores.size == 0:
+    T = clf.label_table(model, data, weight_scheme)
+    if T.size == 0:
         raise InvalidParameterError("empty validation set")
-    return float(scores.mean()), scores
-
-
-def empirical_class_weights(data):
-    counts = np.bincount(data.labels, minlength=data.n_classes).astype(float)
-    return counts / counts.sum()
+    return clf.table_lpd(T), T[:, 0] / T.shape[1]
 
 
 def entropy(weights):
@@ -121,30 +122,26 @@ def _check_permutation_count(B):
         raise InvalidParameterError("B must be >= 1")
 
 
-def bootstrap_ci(per_example_scores, batch_ids, R=1000, alpha=0.05, seed=0, offset=0.0):
-    """Bayesian bootstrap: Dirichlet(1,..,1) weights over batches.
+def bootstrap_ci(run_scores, R=1000, alpha=0.05, seed=0, offset=0.0):
+    """Bayesian bootstrap: Dirichlet(1,..,1) weights over runs.
 
-    The resampling unit is the batch because examples within a batch share
-    y.  Each replicate reweights the batch-mean scores; the CI is the
-    empirical (alpha/2, 1-alpha/2) quantile band of replicate means plus
-    `offset` (pass the entropy offset to get a CI on the divergence scale).
-    Returns (low, high, widened); widened is True when the band excluded
-    the point estimate and was stretched to contain it.
+    The resampling unit is the run because a run's examples share y, and
+    run_scores holds each run's mean score (lpd_val's second value), in
+    table order.  Each replicate reweights those per-run means; the CI is
+    the empirical (alpha/2, 1-alpha/2) quantile band of replicate means
+    plus `offset` (pass the entropy offset to get a CI on the divergence
+    scale).  Returns (low, high, widened); widened is True when the band
+    excluded the point estimate and was stretched to contain it.
     """
     _check_bootstrap_settings(R, alpha)
-    scores = np.asarray(per_example_scores, dtype=float)
-    batch_ids = np.asarray(batch_ids)
-    uniq, inverse = np.unique(batch_ids, return_inverse=True)
-    if uniq.size < 2:
-        raise InvalidParameterError("bootstrap needs at least 2 batches")
-    sums = np.bincount(inverse, weights=scores)
-    counts = np.bincount(inverse).astype(float)
-    batch_means = sums / counts
+    run_scores = np.asarray(run_scores, dtype=float)
+    if run_scores.size < 2:
+        raise InvalidParameterError("bootstrap needs at least 2 runs")
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(uniq.size), size=R)
-    reps = weights @ batch_means + offset
+    weights = rng.dirichlet(np.ones(run_scores.size), size=R)
+    reps = weights @ run_scores + offset
     lo, hi = np.quantile(reps, [alpha / 2.0, 1.0 - alpha / 2.0])
-    point = batch_means.mean() + offset
+    point = run_scores.mean() + offset
     # empirical quantiles can exclude the point estimate in pathological
     # tiny-sample cases; widen so the report invariant always holds
     return float(min(lo, point)), float(max(hi, point)), bool(lo > point or hi < point)
@@ -155,46 +152,22 @@ def bootstrap_ci(per_example_scores, batch_ids, R=1000, alpha=0.05, seed=0, offs
 _CHUNK_ELEMENTS = 2 ** 17
 
 
-def _run_terms(logp, scheme, multiclass):
-    """(c, delta): the LPD as a function of which occupants hold theta.
-
-    A binary run's logp[s, k] holds the class log probabilities of its row
-    k, labelled 0 for theta's row 0 and 1 for the rest.  A multiclass run's
-    K examples all have theta's probability among the same occupants, and
-    logp[s] is its row of run_log_probs: logp[s, j] is the log probability
-    that occupant j holds theta.  With occupant j_s holding theta in each
-    run s, the mean weighted log probability of the labels is
-    (c + sum_s delta[s, j_s]) / (S * K); the observed LPD has every j_s = 0.
-    """
-    w = clf.example_weights(np.arange(logp.shape[-1]), scheme)
-    if multiclass:
-        return 0.0, w.sum() * logp
-    L = logp * w
-    return L[:, :, 1].sum(), L[:, :, 0] - L[:, :, 1]
-
-
-def _replicate_lpds(c, delta, draws):
-    """(c + sum_s delta[s, draws[b, s]]) / (S * K) for each row b of draws."""
-    S, K = delta.shape
-    moved = delta.reshape(-1).take(draws + np.arange(0, S * K, K)).sum(axis=1)
-    return (c + moved) / (S * K)
-
-
 def permutation_test(model, data, weight_scheme=clf.UNWEIGHTED, B=1000, seed=0):
     """Exact finite-sample test: per run, redraw which occupant is theta.
 
     Under calibration a run's K = M+1 occupants (theta and its M draws) are
     exchangeable given y.  A replicate draws, per run of the mapped table
-    `data`, one occupant uniformly and scores the run as if it were theta.
-    The model is fixed, so every replicate is a gather from one (S, K)
-    table built from one scoring pass (a multiclass run's K rows are scored
-    once), drawn in chunks whose size depends only on S, so memory stays
-    flat in B.
+    `data`, one occupant j_s uniformly and scores the run as if it were
+    theta: its LPD is sum_s T[s, j_s] / (S * K), a gather from the one
+    (S, K) table clf.label_table builds from one scoring pass, drawn in
+    chunks whose size depends only on S, so memory stays flat in B.
 
     p = #{b : permuted LPD_b >= observed LPD} / B; ties count toward the
-    permuted side.  The observed LPD is the same gather at theta, so exact
-    ties stay exact.  The (1 + #)/(B + 1) form, which is never 0, is not
-    used yet: the benchmark's report check requires p*B to be an integer.
+    permuted side.  The observed LPD is clf.table_lpd(T), the number
+    lpd_val and the hold-out loss give, and a gather of column 0 sums it
+    in the same order, so exact ties stay exact.  The (1 + #)/(B + 1)
+    form, which is never 0, is not used yet: the benchmark's report check
+    requires p*B to be an integer.
 
     The test is exact for IID draws.  Markov-chain draws are not
     exchangeable with an independent theta: with AR(1) draws at rho = 0.9
@@ -202,17 +175,17 @@ def permutation_test(model, data, weight_scheme=clf.UNWEIGHTED, B=1000, seed=0):
     tables.  The divergence estimate stays valid there.
     """
     _check_permutation_count(B)
-    S, K = data.rows.shape[:2]
-    logp = (clf.run_log_probs(model, data) if data.multiclass
-            else clf.class_log_probs(model, data).reshape(S, K, 2))
-    c, delta = _run_terms(logp, weight_scheme, data.multiclass)
+    T = clf.label_table(model, data, weight_scheme)
+    S, K = T.shape
+    row_starts = np.arange(0, T.size, K)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ELEMENTS // S)
     permuted = np.empty(B)
     for start in range(0, B, chunk):
         draws = rng.integers(0, K, size=(min(chunk, B - start), S))
-        permuted[start:start + len(draws)] = _replicate_lpds(c, delta, draws)
-    lpd_observed = float(_replicate_lpds(c, delta, np.zeros((1, S), dtype=int))[0])
+        permuted[start:start + len(draws)] = (
+            T.reshape(-1).take(draws + row_starts).sum(axis=1) / T.size)
+    lpd_observed = clf.table_lpd(T)
     p = float(np.sum(permuted >= lpd_observed) / B)
     return TestResult(lpd_observed=lpd_observed, lpd_permuted=permuted,
                       p_value=p, B=B, seed=seed)
@@ -307,13 +280,16 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
         raise PipelineError("train", exc) from exc
     try:
         val_data = clf.arrays_from_batches(mapped, val_runs)
-        lpd, scores = lpd_val(model, val_data, settings.weight_scheme)
-        report = divergence_estimate(lpd, settings.weight_scheme,
-                                     empirical_class_weights(val_data),
-                                     n_val_examples=scores.size)
+        lpd, run_scores = lpd_val(model, val_data, settings.weight_scheme)
+        # label frequencies follow from the layout: one theta row of K per
+        # binary run, each of the K labels once per multiclass run
+        K = val_data.rows.shape[1]
+        class_weights = (np.full(K, 1.0 / K) if val_data.multiclass
+                         else np.array([1.0, K - 1.0]) / K)
+        report = divergence_estimate(lpd, settings.weight_scheme, class_weights,
+                                     n_val_examples=run_scores.size * K)
         report.ci_low, report.ci_high, report.ci_widened = bootstrap_ci(
-            scores, val_data.batch_ids, R=R, alpha=alpha, seed=seed_boot,
-            offset=report.entropy_offset)
+            run_scores, R=R, alpha=alpha, seed=seed_boot, offset=report.entropy_offset)
         report.ci_level = 1.0 - alpha
     except Exception as exc:
         raise PipelineError("estimate", exc) from exc

@@ -234,9 +234,6 @@ def test_per_example_forward_matches_class_log_probs():
                     probs = np.array([1.0 - p1, p1])
                 got.append(np.log(np.clip(probs, clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
-        np.testing.assert_array_equal(
-            clf.label_log_probs(model, data),
-            expected[np.arange(data.labels.size), data.labels])
     with pytest.raises(sm.InvalidParameterError, match="run_log_probs"):
         clf.class_log_probs(model, data)
 
@@ -865,27 +862,63 @@ def linear_model(n_linear, class_count=2, architecture=clf.ARCH_BINARY):
     return model
 
 
-def test_binary_label_log_probs_is_the_label_column_bit_for_bit():
-    data = saturating_binary_table()
-    model = linear_model(1)
-    scores = model.score(data.x_nl, data.x_lin)
-    # the clamp is active at both ends of both columns
-    assert scores.min() == -40.0 and scores.max() == 40.0
-    full = clf.class_log_probs(model, data)
-    assert (full == np.log(clf.PROB_CLAMP)).any(axis=0).all()
-    assert (full == np.log(1.0 - clf.PROB_CLAMP)).any(axis=0).all()
-    labels = data.labels
-    np.testing.assert_array_equal(clf.label_log_probs(model, data),
-                                  full[np.arange(labels.size), labels])
-    # and on a trained-looking model over ordinary rows
-    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=2, S=10, bias=0.5)
-    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4, 3)), seed=4)
-    rng = np.random.default_rng(1)
-    model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
-    labels = mapped.labels
-    np.testing.assert_array_equal(
-        clf.label_log_probs(model, mapped),
-        clf.class_log_probs(model, mapped)[np.arange(labels.size), labels])
+def reference_label_table(model, data, scheme):
+    """label_table from the per-example reference: column j weights each
+    example's log probability of the label it would have if occupant j held
+    theta.  Binary row k is then labelled 0 if k == j and 1 otherwise;
+    multiclass example k keeps label k, now the slot that occupant j fills."""
+    S, K = data.rows.shape[:2]
+    logp = per_example_log_probs(model, data).reshape(S, K, -1)
+    T = np.empty((S, K))
+    for j in range(K):
+        if data.multiclass:
+            labels = np.arange(K)
+            classes = np.argmax(lm._cyclic_insertion(K) == j, axis=1)
+        else:
+            labels = classes = (np.arange(K) != j).astype(int)
+        T[:, j] = (clf.example_weights(labels, scheme) * logp[:, np.arange(K), classes]).sum(1)
+    return T
+
+
+@pytest.mark.parametrize("case", ["binary", "binary_weighted", "rank", "multiclass",
+                                  "saturated"])
+def test_label_table_matches_the_per_example_reference(case):
+    scheme = clf.balanced_binary(3) if case in ("binary_weighted", "saturated") else clf.UNWEIGHTED
+    if case == "saturated":
+        data = saturating_binary_table()
+        model = linear_model(1)
+        # the clamp is active at both ends of both columns
+        full = clf.class_log_probs(model, data)
+        assert (full == np.log(clf.PROB_CLAMP)).any(axis=0).all()
+        assert (full == np.log(1.0 - clf.PROB_CLAMP)).any(axis=0).all()
+    else:
+        kind = {"rank": lm.MappingKind.BINARY_RANK,
+                "multiclass": lm.MappingKind.MULTICLASS}.get(case, lm.MappingKind.BINARY_FULL)
+        mapped = make_mapped(kind, d=1 if case == "rank" else 2, S=10, M=3, bias=0.5)
+        # gathered runs, out of table order, are scored in the order given
+        data = clf.arrays_from_batches(mapped, [3, 0, 7, 7, 1])
+        model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4, 3)), seed=4)
+        rng = np.random.default_rng(1)
+        model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
+    T = clf.label_table(model, data, scheme)
+    assert T.shape == data.rows.shape[:2]
+    np.testing.assert_allclose(T, reference_label_table(model, data, scheme),
+                               rtol=0, atol=1e-12)
+    # the loss is minus column 0 over the R*K examples
+    assert clf.loss(model, data, scheme) == -(T[:, 0].sum() / T.size)
+
+
+def test_label_table_columns_of_equal_occupants_are_equal_bit_for_bit():
+    # binary rows that score the same give the same column whatever their
+    # position, so a permutation replicate that moves theta to one of them
+    # ties the observed LPD exactly
+    values = np.array([[0.5, 0.5, 0.5, -1.0], [2.0, 3.0, 2.0, 2.0], [-7.0, -7.0, 1.0, -7.0]])
+    data = lm.MappedTable(values[:, :, None], np.arange(3), lm.MappingKind.BINARY_FULL,
+                          d_nonlinear=0)
+    T = clf.label_table(linear_model(1), data, clf.balanced_binary(3))
+    for s, run in enumerate(values):
+        same = np.flatnonzero(run == run[0])
+        assert (T[s, same] == T[s, 0]).all()
 
 
 @pytest.mark.parametrize("saturated", [False, True])

@@ -87,6 +87,44 @@ def test_diagnose_missing_table(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mapping", sorted(cli.MAPPING_NAMES))
+def test_diagnose_rejects_a_table_without_runs(tmp_path, capsys, mapping):
+    # a valid header with S = 0 reads as an empty table, which cannot be mapped
+    table = tmp_path / "empty.jsonl"
+    table.write_text('{"d_theta": 1, "d_y": 1, "M": 3, "S": 0}\n')
+    assert sm.read_table(str(table)).S == 0
+    report = tmp_path / "report.json"
+    code = run(["diagnose", "--table", str(table), "--mapping", mapping, "--epochs", "1",
+                "--out", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot map an empty table\n"
+    assert not report.exists()
+
+
+def test_diagnose_writes_no_report_with_a_non_finite_number(tmp_path, capsys, monkeypatch):
+    # strict JSON has no NaN: the report fails before any file is written
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])
+    capsys.readouterr()
+    real_pipeline = dg.run_pipeline
+
+    def nan_divergence(*args, **kwargs):
+        report, test, model = real_pipeline(*args, **kwargs)
+        report.divergence = float("nan")
+        return report, test, model
+
+    monkeypatch.setattr(dg, "run_pipeline", nan_divergence)
+    report = tmp_path / "report.json"
+    code = run(["diagnose", "--table", str(table), "--hidden", "4", "--epochs", "1",
+                "--B", "20", "--R", "100", "--out", str(report)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write the report: ")
+    assert "not JSON compliant" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_diagnose_malformed_table_reports_line(tmp_path, capsys):
     table = tmp_path / "table.jsonl"
     table.write_text('{"d_theta":1,"d_y":1,"M":1,"S":2}\n'

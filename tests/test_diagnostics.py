@@ -57,45 +57,48 @@ def test_lpd_val_against_direct_computation():
     mapped = make_mapped()
     model = oracle_weight_model(1)
     lpd, scores = dg.lpd_val(model, mapped, clf.UNWEIGHTED)
-    assert scores.size == sum(b.n_examples for b in mapped)
+    # one score per run: the mean over its examples
+    assert scores.shape == (len(mapped),)
     direct = []
     d = mapped.d_nonlinear
     for b in mapped:
+        run = []
         for phi, t in zip(b.features, b.labels):
             p1 = expit(model.score(phi[None, :d], phi[None, d:]))[0]
-            direct.append(np.log(np.clip(p1 if t == 1 else 1.0 - p1,
-                                         clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
-    np.testing.assert_allclose(scores, direct, atol=1e-12)
+            run.append(np.log(np.clip(p1 if t == 1 else 1.0 - p1,
+                                      clf.PROB_CLAMP, 1.0 - clf.PROB_CLAMP)))
+        direct.append(run)
+    np.testing.assert_allclose(scores, np.mean(direct, axis=1), atol=1e-12)
     assert abs(lpd - np.mean(direct)) < 1e-12
 
 
 def test_bootstrap_ci_basic_properties():
     rng = np.random.default_rng(0)
-    scores = rng.standard_normal(200)
-    ids = np.repeat(np.arange(50), 4)
-    lo, hi, widened = dg.bootstrap_ci(scores, ids, R=500, seed=1)
+    scores = rng.standard_normal(50)     # one mean score per run
+    lo, hi, widened = dg.bootstrap_ci(scores, R=500, seed=1)
     assert lo <= scores.mean() <= hi and not widened
-    assert dg.bootstrap_ci(scores, ids, R=500, seed=1) == (lo, hi, widened)
-    lo3, hi3, _ = dg.bootstrap_ci(scores, ids, R=500, seed=1, offset=2.0)
+    assert dg.bootstrap_ci(scores, R=500, seed=1) == (lo, hi, widened)
+    lo3, hi3, _ = dg.bootstrap_ci(scores, R=500, seed=1, offset=2.0)
     assert abs(lo3 - (lo + 2.0)) < 1e-12 and abs(hi3 - (hi + 2.0)) < 1e-12
     with pytest.raises(sm.InvalidParameterError):
-        dg.bootstrap_ci(scores, ids, R=50)
+        dg.bootstrap_ci(scores, R=50)
     for alpha in (0.0, 1.0, 1.5, -0.05, float("nan")):
         with pytest.raises(sm.InvalidParameterError, match="alpha must be in"):
-            dg.bootstrap_ci(scores, ids, R=100, alpha=alpha)
-    with pytest.raises(sm.InvalidParameterError):
-        dg.bootstrap_ci(scores[:4], np.zeros(4), R=100)
+            dg.bootstrap_ci(scores, R=100, alpha=alpha)
+    for few in (scores[:1], scores[:0]):
+        with pytest.raises(sm.InvalidParameterError, match="at least 2 runs"):
+            dg.bootstrap_ci(few, R=100)
 
 
 def test_bootstrap_ci_flags_a_widened_interval():
-    # one batch of 100 holds all the mass: a replicate mean is 100 times a
+    # one run of 100 holds all the mass: a replicate mean is 100 times a
     # Beta(1, 99) weight, whose 55% quantile (0.80) lies below the point
     # estimate 1, so the 10% band excludes it; the 95% band contains it
     scores = np.zeros(100)
     scores[-1] = 100.0
-    lo, hi, widened = dg.bootstrap_ci(scores, np.arange(100), R=1000, alpha=0.9)
+    lo, hi, widened = dg.bootstrap_ci(scores, R=1000, alpha=0.9)
     assert widened and hi == 1.0 and lo < 1.0
-    lo, hi, widened = dg.bootstrap_ci(scores, np.arange(100), R=1000, alpha=0.05)
+    lo, hi, widened = dg.bootstrap_ci(scores, R=1000, alpha=0.05)
     assert not widened and lo < 1.0 < hi
 
 
@@ -111,8 +114,7 @@ def test_bootstrap_ci_coverage_with_fixed_model():
     for rep in range(n_rep):
         mapped = make_mapped(bias=0.5, S=150, seed=1000 + rep)
         _, scores = dg.lpd_val(model, mapped, scheme)
-        ids = mapped.batch_ids
-        lo, hi, _ = dg.bootstrap_ci(scores, ids, R=400, seed=rep)
+        lo, hi, _ = dg.bootstrap_ci(scores, R=400, seed=rep)
         hits += lo <= truth <= hi
     # binomial(60, 0.95) is above 50 with overwhelming probability
     assert hits >= 50
@@ -153,26 +155,22 @@ def loop_lpds(L_raw, labels_per_draw, scheme):
     return np.array(out)
 
 
-@pytest.mark.parametrize("C, K, zeros, scheme", [
-    (2, 7, 1, clf.UNWEIGHTED),
-    (2, 7, 1, clf.balanced_binary(6)),
-])
-def test_gathered_replicates_match_the_loop(C, K, zeros, scheme):
-    # fixed draws, both as the gather sees them and as the labels they give
-    rng = np.random.default_rng(C * 100 + K)
-    S, n_draws = 40, 25
-    L_raw = np.log(rng.dirichlet(np.ones(C), size=S * K)).reshape(S, K, C)
-    # theta's row 0 is the run's one label-0 row
-    lab = np.ones((S, K), dtype=int)
-    lab[:, :zeros] = 0
-    c, delta = dg._run_terms(L_raw, scheme, multiclass=False)
-    pos = rng.integers(0, K, size=(n_draws, S))
-    labels = np.ones((n_draws, S, K), dtype=int)
+@pytest.mark.parametrize("scheme", [clf.UNWEIGHTED, clf.balanced_binary(6)],
+                         ids=["unweighted", "balanced"])
+def test_binary_replicates_match_the_per_example_loop(scheme):
+    # a replicate relabels each run s with occupant j_s as theta: row j_s
+    # gets label 0 and the others 1, scored from one class_log_probs matrix
+    S, K, B, seed = 40, 7, 25, 8
+    mapped = make_mapped(bias=0.7, d=2, S=S, M=K - 1, seed=4)
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=6)
+    res = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
+    pos = np.random.default_rng(seed).integers(0, K, size=(B, S))  # one chunk of draws
+    labels = np.ones((B, S, K), dtype=int)
     np.put_along_axis(labels, pos[:, :, None], 0, axis=2)
-    np.testing.assert_allclose(dg._replicate_lpds(c, delta, pos),
-                               loop_lpds(L_raw, labels, scheme), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dg._replicate_lpds(c, delta, np.zeros((1, S), dtype=int)),
-                               loop_lpds(L_raw, lab[None], scheme), rtol=0, atol=1e-12)
+    L_raw = clf.class_log_probs(model, mapped).reshape(S, K, 2)
+    np.testing.assert_allclose(res.lpd_permuted, loop_lpds(L_raw, labels, scheme),
+                               rtol=0, atol=1e-12)
+    assert abs(res.lpd_observed - loop_lpds(L_raw, [mapped.labels], scheme)[0]) < 1e-12
 
 
 def swap_theta(table, j):
@@ -473,6 +471,28 @@ def test_run_pipeline_reports_pinned_numbers(name):
     for key, value in want.items():
         np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=0, err_msg=key)
     assert got["ci_widened"] is want["ci_widened"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_one_statistic_gives_one_number(name, monkeypatch):
+    # the validation LPD, the permutation test's observed LPD and minus the
+    # hold-out loss on the validation runs all read column 0 of one label
+    # table, so they are one number, bit for bit
+    table, kind, cfg, model_cfg, settings = pinned_case(name)
+    scored = []
+    real_lpd_val = dg.lpd_val
+
+    def recording_lpd_val(model, data, scheme):
+        scored.append(data)
+        return real_lpd_val(model, data, scheme)
+
+    monkeypatch.setattr(dg, "lpd_val", recording_lpd_val)
+    rep, test, model = dg.run_pipeline(table, kind, cfg, model_cfg=model_cfg,
+                                       settings=settings, B=40, R=150)
+    (val_data,) = scored
+    assert rep.lpd_val == test.lpd_observed == -clf.loss(model, val_data,
+                                                         settings.weight_scheme)
+    assert rep.n_val_examples == val_data.rows[..., 0].size
 
 
 def test_run_pipeline_stage_errors():
