@@ -9,8 +9,9 @@ Two architectures:
 where x is the nonlinear feature block (standardized using training
 statistics) and l the trailing linear features (log densities / ranks, not
 standardized -- their scale is meaningful).  The separable form is exactly
-permutation-equivariant over slots, which is what makes diagnostics on
-autocorrelated draws valid without thinning.
+permutation-equivariant over slots, which keeps the divergence estimate on
+autocorrelated draws valid without thinning; the permutation p-value is
+not valid there (a chain is not exchangeable with an independent theta).
 
 Training is minibatch gradient descent with adaptive moments, weighted
 cross-entropy loss, and early stopping on held-out runs.  Everything is
@@ -311,8 +312,10 @@ def label_table(model, data, weight_scheme=UNWEIGHTED):
     - w1 L1[s, j]), and rows that score the same give equal columns, bit
     for bit.  All K examples of a multiclass run have the probability that
     theta's occupant holds theta, so T is run_log_probs times the sum of the
-    K labels' weights.
+    K labels' weights.  A table of zero runs has no LPD and raises.
     """
+    if data.rows.shape[0] == 0:
+        raise InvalidParameterError("cannot score a table of zero runs")
     if data.multiclass:
         return run_log_probs(model, data) * example_weights(np.arange(data.n_classes),
                                                             weight_scheme).sum()

@@ -72,8 +72,6 @@ def lpd_val(model, data, weight_scheme=clf.UNWEIGHTED):
     T[s, 0] / K, the mean over its K examples; the scores feed bootstrap_ci.
     """
     T = clf.label_table(model, data, weight_scheme)
-    if T.size == 0:
-        raise InvalidParameterError("empty validation set")
     return clf.table_lpd(T), T[:, 0] / T.shape[1]
 
 

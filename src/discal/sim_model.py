@@ -75,12 +75,17 @@ class GaussianPosterior:
         """Log density at x, vectorized over rows of a 2-d input."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        pts = np.atleast_2d(x) - self.mean
-        # solve L z = (x - mu)^T by forward substitution
-        from scipy.linalg import solve_triangular
-
-        z = solve_triangular(self._chol, pts.T, lower=True)
-        logdet = np.sum(np.log(np.diag(self._chol)))
+        # solve L z = (x - mu)^T by forward substitution in place; z is
+        # (d, n) in Fortran layout, so each point's squares are summed over
+        # contiguous memory, and each row is scaled by 1/L[i, i], as
+        # OpenBLAS's trsm does: a diagonal L gives _isotropic_logpdf's bits
+        z = np.subtract(np.atleast_2d(x), self.mean, order="C").T
+        L = self._chol
+        for i in range(self.dim):
+            for j in range(i):
+                z[i] -= L[i, j] * z[j]
+            z[i] *= 1.0 / L[i, i]
+        logdet = np.sum(np.log(np.diag(L)))
         out = -0.5 * np.sum(z * z, axis=0) - logdet - 0.5 * self.dim * LOG_2PI
         return float(out[0]) if single else out
 

@@ -375,18 +375,60 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_commands_leave_scipy_submodules_unloaded(tmp_path):
-    # scipy.special, scipy.linalg and scipy.stats each add to every cold
-    # start; of them only the SBC oracle needs one, scipy.special, on first use
+def run_script(script, tmp_path, **env):
+    """Run `script` in a fresh interpreter that imports discal from this tree."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=env, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
-    seen = json.loads(out.stdout.splitlines()[-1])
+    return out.stdout
+
+
+def test_cli_commands_leave_scipy_submodules_unloaded(tmp_path):
+    # scipy.special, scipy.linalg and scipy.stats each add to every cold
+    # start, and no command or oracle loads any of them
+    seen = json.loads(run_script(COLD_START_SCRIPT, tmp_path).splitlines()[-1])
     assert seen == {"import": [], "simulate": [], "binary": [], "multiclass": [],
-                    "report": [], "sbc": ["scipy.special"]}
+                    "report": [], "sbc": []}
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+from discal import cli, oracle, sim_model as sm
+
+fit = ["--hidden", "4", "--epochs", "2", "--B", "20", "--R", "100"]
+for argv in (
+    ["simulate", "--d", "2", "--S", "12", "--M", "3", "--bias", "0.5", "--seed", "1",
+     "--out", "table.jsonl"],
+    ["diagnose", "--table", "table.jsonl", "--features", "logp,logq", *fit,
+     "--visual", "v.csv", "--coordinate", "log_p", "--out", "report.json"],
+    ["diagnose", "--table", "table.jsonl", "--mapping", "multiclass", *fit],
+    ["report", "report.json"],
+    ["benchmark", "--d", "1", "--S", "20", "--M", "3", "--grid", "bias:1.0",
+     "--repetitions", "1", "--epochs", "1", "--B", "20", "--out", "bench.csv"],
+):
+    assert cli.main(argv) == 0, argv[0]
+pvals, _ = oracle.sbc_rank_test(sm.read_table("table.jsonl"))
+assert np.all((pvals > 0) & (pvals <= 1))
+p, q = np.array([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]), np.array([[0.3, 0.4, 0.3], [0.4, 0.4, 0.2]])
+assert oracle.brute_force_divergences(p, q, 3, py=[0.5, 0.5]).d4 > 0
+g = sm.GaussianPosterior([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]])
+h = sm.GaussianPosterior([0.5, 0.0], [[1.5, 0.0], [0.0, 1.0]])
+assert oracle.jsd_conditional_mc(g, h, n_mc=1000)[0] > 0
+assert np.all(np.isfinite(g.logpdf(np.ones((5, 2)))))
+print("ok")
+"""
+
+
+def test_no_command_or_oracle_needs_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every command
+    # and every oracle the pipeline or the benchmark reaches still runs
+    out = run_script(NO_SCIPY_SCRIPT, tmp_path, DISCAL_WORKERS="1")
+    assert out.splitlines()[-1] == "ok"
 
 
 def test_unknown_command_exits():

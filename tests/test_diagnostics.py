@@ -267,6 +267,17 @@ def test_permutation_test_validation():
         dg.permutation_test(model, mapped, B=0)
 
 
+@pytest.mark.parametrize("kind", [lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS])
+def test_zero_runs_raise_one_labelled_error_in_every_scorer(kind):
+    # the hold-out loss, the LPD and the permutation test read one label table
+    mapped = make_mapped(S=4, kind=kind)
+    empty = clf.arrays_from_batches(mapped, [])
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(3,)), seed=0)
+    for score in (clf.loss, dg.lpd_val, dg.permutation_test):
+        with pytest.raises(sm.InvalidParameterError, match="^cannot score a table of zero runs$"):
+            score(model, empty)
+
+
 def test_visual_export_layout_and_errors(tmp_path):
     mapped = make_mapped(S=5)
     model = oracle_weight_model(1)

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import chisquare, norm
+from scipy.stats import chi2, chisquare, norm
 
 from discal import label_mapping as lm
 from discal import oracle
@@ -249,28 +250,50 @@ def test_sbc_rank_test_null_and_power():
                               "unequal_3_of_10"])
 @pytest.mark.parametrize("bias", [0.0, 0.3, 1.0])
 def test_sbc_pvalues_are_chisquare_bit_for_bit(d, M, n_bins, bias):
+    # the statistic is chisquare's, bit for bit; its χ² tail is discal's own
+    # series, so the p-values agree within 1e-12 relative and the Bonferroni
+    # decision is the same
     t = sm.generate_gaussian_table(d, 200, M, 1.0, sm.Corruption(bias=bias), seed=M + d)
-    pvals, _ = oracle.sbc_rank_test(t, n_bins=n_bins, seed=5)
+    pvals, reject = oracle.sbc_rank_test(t, n_bins=n_bins, seed=5)
     edges = np.floor(np.arange(n_bins + 1) * (M + 1) / n_bins).astype(int)
     exp = t.S * np.diff(edges) / (M + 1.0)
     ref = []
     for j, child in enumerate(np.random.SeedSequence(5).spawn(d)):
         ranks = oracle.sbc_ranks(t, coordinate=j, seed=int(child.generate_state(1)[0]))
         ref.append(chisquare(np.histogram(ranks, bins=edges)[0], exp).pvalue)
-    np.testing.assert_array_equal(pvals, ref)
+    np.testing.assert_allclose(pvals, ref, rtol=1e-12, atol=0)
+    assert reject == (min(ref) < 0.05 / d)
 
 
 def test_pearson_pvalue_checks_the_totals():
     exp = np.array([2.5, 2.5, 5.0])
-    assert oracle._pearson_pvalue([3, 2, 5], exp) == chisquare([3, 2, 5], exp).pvalue
+    assert oracle._pearson_pvalue([3, 2, 5], exp) == pytest.approx(
+        chisquare([3, 2, 5], exp).pvalue, rel=1e-12, abs=0)
     # chisquare's tolerance: totals may differ by a relative sqrt(eps) ~ 1.5e-8
     near, off = exp * [1, 1, 1 + 2e-9], exp * [1, 1, 1 + 4e-8]
-    assert oracle._pearson_pvalue([3, 2, 5], near) == chisquare([3, 2, 5], near).pvalue
+    assert oracle._pearson_pvalue([3, 2, 5], near) == pytest.approx(
+        chisquare([3, 2, 5], near).pvalue, rel=1e-12, abs=0)
     for obs, e in (([3, 2, 6], exp), ([3, 2, 5], off)):
         with pytest.raises(sm.InvalidParameterError, match="differ"):
             oracle._pearson_pvalue(obs, e)
         with pytest.raises(ValueError):
             chisquare(obs, e)
+
+
+def test_chi2_sf_matches_mpmath():
+    # df = 1..1000 and upper tails from 1 down to 1e-300, against the
+    # regularized upper incomplete gamma Q(df/2, x/2) at 40 digits
+    dfs = list(range(1, 41)) + [50, 51, 99, 100, 101, 255, 256, 500, 501, 777, 999, 1000]
+    for df in dfs:
+        for p in [10.0 ** -e for e in range(0, 301, 20)] + [0.5, 0.95, 1 - 1e-9]:
+            x = float(chi2.isf(p, df))
+            with mpmath.workdps(40):
+                ref = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                            mpmath.inf, regularized=True))
+            assert oracle._chi2_sf(df, x) == pytest.approx(ref, rel=1e-12, abs=0), (df, p, x)
+    assert oracle._chi2_sf(5, 0.0) == 1.0
+    assert oracle._chi2_sf(5, math.inf) == 0.0
+    assert math.isnan(oracle._chi2_sf(5, math.nan))
 
 
 def test_naive_bayes_rank_divergence():
