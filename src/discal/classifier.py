@@ -20,7 +20,6 @@ deterministic given the seed (fixed shuffle order, fixed reduction order).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -115,7 +114,6 @@ class TrainSettings:
     patience: int = 10
     seed: int = 0
     val_fraction: float = 0.2
-    standardize: bool = True
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -144,8 +142,6 @@ class Model:
     standardized already; score then takes the nonlinear block as it is.
     """
 
-    SERIAL_VERSION = 1
-
     def __init__(self, config, seed=0):
         self.config = config
         rng = np.random.default_rng(seed)
@@ -172,9 +168,6 @@ class Model:
         return views[:n_layers], views[n_layers:-1], views[-1]
 
     # ---- parameter plumbing -------------------------------------------------
-
-    def param_arrays(self):
-        return self.weights + self.biases + [self.w_linear]
 
     def get_params(self):
         """A copy of the flat parameter vector."""
@@ -262,8 +255,8 @@ def arrays_from_batches(mapped, runs):
 def config_for_table(mapped, hidden_sizes=(64, 64), activation="tanh"):
     """The ModelConfig for the layout of a mapped table.
 
-    A table's first run maps to the layout of the whole table, so
-    map_table(table.take([0]), kind, cfg) is enough to build it.
+    Only the layout is read (the nonlinear and linear widths and the class
+    count), and every run of a table maps to the same layout.
     """
     arch = ARCH_MULTICLASS if mapped.multiclass else ARCH_BINARY
     return ModelConfig(architecture=arch, input_dim=mapped.d_nonlinear,
@@ -420,7 +413,7 @@ def train(mapped, runs, config, settings):
 
     model = Model(config, seed=rng.integers(2**31))
     standardizer = (model.x_mean, model.x_scale)
-    if settings.standardize and config.input_dim > 0:
+    if config.input_dim > 0:
         mean = fit_data.x_nl.mean(axis=0)
         scale = fit_data.x_nl.std(axis=0)
         scale[scale == 0.0] = 1.0
@@ -494,35 +487,3 @@ def train(mapped, runs, config, settings):
     model.set_standardizer(*standardizer)
     return model
 
-
-# ---- serialization ----------------------------------------------------------
-
-def model_to_json(model):
-    payload = {
-        "version": Model.SERIAL_VERSION,
-        "config": {
-            "architecture": model.config.architecture,
-            "input_dim": model.config.input_dim,
-            "hidden_sizes": list(model.config.hidden_sizes),
-            "activation": model.config.activation,
-            "n_linear_features": model.config.n_linear_features,
-            "class_count": model.config.class_count,
-        },
-        "params": model.get_params().tolist(),
-        "shapes": [list(a.shape) for a in model.param_arrays()],
-        "x_mean": model.x_mean.tolist(),
-        "x_scale": model.x_scale.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def model_from_json(text):
-    payload = json.loads(text)
-    if payload.get("version") != Model.SERIAL_VERSION:
-        raise InvalidParameterError("unsupported model version %r" % payload.get("version"))
-    cfg = ModelConfig(**{**payload["config"],
-                         "hidden_sizes": tuple(payload["config"]["hidden_sizes"])})
-    model = Model(cfg, seed=0)
-    model.set_params(np.asarray(payload["params"]))
-    model.set_standardizer(np.asarray(payload["x_mean"]), np.asarray(payload["x_scale"]))
-    return model

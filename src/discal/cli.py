@@ -121,19 +121,18 @@ def cmd_diagnose(args):
                                  minibatch_size=args.minibatch,
                                  weight_scheme=scheme, patience=args.patience,
                                  seed=args.seed, val_fraction=args.val_fraction)
-    kind = MAPPING_NAMES[args.mapping]
-    # the first run's map has the layout of the whole table's: the model and
-    # the --visual request are checked against it before any training (a
-    # table without runs stops here, with map_table's error)
-    head = lm.map_table(table.take(slice(1)), kind, cfg)
+    # one map, with run_pipeline's map seed: the model config and --visual
+    # are checked on it before any training (a table without runs stops
+    # here, with map_table's error), and training and the export read it
+    mapped = lm.map_table(table, MAPPING_NAMES[args.mapping], cfg,
+                          seed=dg.pipeline_seeds(args.seed)[0])
     coord = args.coordinate
     coord = int(coord) if coord.lstrip("-").isdigit() else coord
     if args.visual:
-        dg.check_visual(head, coord)
-    model_cfg = clf.config_for_table(head, hidden_sizes=args.hidden)
-    report, test, model = dg.run_pipeline(table, kind, cfg,
-                                          model_cfg=model_cfg, settings=settings,
-                                          B=args.B, R=args.R, alpha=args.alpha)
+        dg.check_visual(mapped, coord)
+    model_cfg = clf.config_for_table(mapped, hidden_sizes=args.hidden)
+    report, test, model = dg.diagnose_mapped(mapped, model_cfg=model_cfg, settings=settings,
+                                             B=args.B, R=args.R, alpha=args.alpha)
     echo = {"table": args.table, "mapping": args.mapping,
             "weighted": args.weighted, "features": list(features),
             "theta_subset": list(args.theta_subset) if args.theta_subset else None,
@@ -150,8 +149,6 @@ def cmd_diagnose(args):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     if args.visual:
-        # the rows the model was scored on, mapped with run_pipeline's seed
-        mapped = lm.map_table(table, kind, cfg, seed=dg.pipeline_seeds(args.seed)[0])
         dg.write_visual_csv(dg.visual_export(model, mapped, coordinate=coord), args.visual)
     print(dg.format_report(payload))
     return 0

@@ -8,8 +8,11 @@ the divergence induced by the label mapping.  For the balanced binary
 weighting the offset is log 2 and the estimate targets the conditional
 Jensen-Shannon divergence.
 
-The run is the scoring unit.  The LPD, its bootstrap and the permutation
-test all read one (R, K) table of whole validation runs,
+A diagnosis maps its table once: run_pipeline maps it and hands the map
+to diagnose_mapped, which `discal diagnose` calls with its own map so that
+the --visual export reads the same rows.  The run is the scoring unit, and
+the validation runs are scored once: the LPD, its bootstrap and the
+permutation test all read one (R, K) table of whole runs,
 clf.label_table: the LPD is its column 0 over the R*K examples, the
 Bayesian bootstrap resamples the per-run means of that column, and the
 permutation test gathers its replicates from the other columns.  The
@@ -64,14 +67,14 @@ class TestResult:
     seed: int
 
 
-def lpd_val(model, data, weight_scheme=clf.UNWEIGHTED):
+def lpd_val(T):
     """Mean (weighted) log predicted probability of the true labels of whole runs.
 
-    Returns (lpd, per-run scores) from one clf.label_table T: the LPD is
-    clf.table_lpd(T), column 0 over the R*K examples, and run s's score is
-    T[s, 0] / K, the mean over its K examples; the scores feed bootstrap_ci.
+    T is the (R, K) table clf.label_table scores.  Returns (lpd, per-run
+    scores): the LPD is clf.table_lpd(T), column 0 over the R*K examples,
+    and run s's score is T[s, 0] / K, the mean over its K examples; the
+    scores feed bootstrap_ci.
     """
-    T = clf.label_table(model, data, weight_scheme)
     return clf.table_lpd(T), T[:, 0] / T.shape[1]
 
 
@@ -150,15 +153,15 @@ def bootstrap_ci(run_scores, R=1000, alpha=0.05, seed=0, offset=0.0):
 _CHUNK_ELEMENTS = 2 ** 17
 
 
-def permutation_test(model, data, weight_scheme=clf.UNWEIGHTED, B=1000, seed=0):
+def permutation_test(T, B=1000, seed=0):
     """Exact finite-sample test: per run, redraw which occupant is theta.
 
     Under calibration a run's K = M+1 occupants (theta and its M draws) are
-    exchangeable given y.  A replicate draws, per run of the mapped table
-    `data`, one occupant j_s uniformly and scores the run as if it were
-    theta: its LPD is sum_s T[s, j_s] / (S * K), a gather from the one
-    (S, K) table clf.label_table builds from one scoring pass, drawn in
-    chunks whose size depends only on S, so memory stays flat in B.
+    exchangeable given y.  T is the (S, K) table clf.label_table scores
+    from one pass over the validation runs.  A replicate draws, per run,
+    one occupant j_s uniformly and scores the run as if it were theta: its
+    LPD is sum_s T[s, j_s] / (S * K), a gather from T, drawn in chunks
+    whose size depends only on S, so memory stays flat in B.
 
     p = #{b : permuted LPD_b >= observed LPD} / B; ties count toward the
     permuted side.  The observed LPD is clf.table_lpd(T), the number
@@ -173,7 +176,6 @@ def permutation_test(model, data, weight_scheme=clf.UNWEIGHTED, B=1000, seed=0):
     tables.  The divergence estimate stays valid there.
     """
     _check_permutation_count(B)
-    T = clf.label_table(model, data, weight_scheme)
     S, K = T.shape
     row_starts = np.arange(0, T.size, K)
     rng = np.random.default_rng(seed)
@@ -234,16 +236,8 @@ def pipeline_seeds(seed):
     return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(5))
 
 
-def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
-                 B=1000, R=1000, alpha=0.05):
-    """Map -> split -> train -> LPD -> divergence + CI -> permutation test.
-
-    All randomness derives from settings.seed; errors carry a stage label.
-    B, R and alpha are checked before any work, under the stage that uses
-    them.
-    """
-    if settings is None:
-        settings = clf.TrainSettings()
+def _check_counts(B, R, alpha):
+    """B, R and alpha, each under the stage that uses it."""
     try:
         _check_bootstrap_settings(R, alpha)
     except InvalidParameterError as exc:
@@ -252,12 +246,37 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
         _check_permutation_count(B)
     except InvalidParameterError as exc:
         raise PipelineError("permutation", exc) from exc
-    seed_map, seed_split, seed_train, seed_boot, seed_perm = pipeline_seeds(settings.seed)
 
+
+def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
+                 B=1000, R=1000, alpha=0.05):
+    """Map -> split -> train -> LPD -> divergence + CI -> permutation test.
+
+    All randomness derives from settings.seed; errors carry a stage label.
+    B, R and alpha are checked before any work, under the stage that uses
+    them.  The stages after the map are diagnose_mapped.
+    """
+    if settings is None:
+        settings = clf.TrainSettings()
+    _check_counts(B, R, alpha)
     try:
-        mapped = lm.map_table(table, kind, feature_cfg, seed=seed_map)
+        mapped = lm.map_table(table, kind, feature_cfg, seed=pipeline_seeds(settings.seed)[0])
     except Exception as exc:
         raise PipelineError("map", exc) from exc
+    return diagnose_mapped(mapped, model_cfg, settings, B=B, R=R, alpha=alpha)
+
+
+def diagnose_mapped(mapped, model_cfg=None, settings=None, B=1000, R=1000, alpha=0.05):
+    """Split -> train -> LPD -> divergence + CI -> permutation test.
+
+    run_pipeline's stages after the map, on map_table's result `mapped`:
+    mapped with pipeline_seeds(settings.seed)[0], it gives run_pipeline's
+    (report, test, model).  B, R and alpha are checked first, as there.
+    """
+    if settings is None:
+        settings = clf.TrainSettings()
+    _check_counts(B, R, alpha)
+    _, seed_split, seed_train, seed_boot, seed_perm = pipeline_seeds(settings.seed)
     try:
         if not 0.0 < settings.val_fraction < 1.0:
             raise InvalidParameterError("val_fraction must be in (0, 1)")
@@ -278,7 +297,8 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
         raise PipelineError("train", exc) from exc
     try:
         val_data = clf.arrays_from_batches(mapped, val_runs)
-        lpd, run_scores = lpd_val(model, val_data, settings.weight_scheme)
+        T = clf.label_table(model, val_data, settings.weight_scheme)
+        lpd, run_scores = lpd_val(T)
         # label frequencies follow from the layout: one theta row of K per
         # binary run, each of the K labels once per multiclass run
         K = val_data.rows.shape[1]
@@ -292,8 +312,7 @@ def run_pipeline(table, kind, feature_cfg, model_cfg=None, settings=None,
     except Exception as exc:
         raise PipelineError("estimate", exc) from exc
     try:
-        test = permutation_test(model, val_data, settings.weight_scheme, B=B,
-                                seed=seed_perm)
+        test = permutation_test(T, B=B, seed=seed_perm)
     except Exception as exc:
         raise PipelineError("permutation", exc) from exc
     return report, test, model

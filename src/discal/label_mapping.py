@@ -52,7 +52,6 @@ class FeatureConfig:
     classifier's final-layer skip connection.
     """
 
-    include_y: bool = True
     theta_subset: tuple | None = None
     linear_features: tuple = ()
 
@@ -242,11 +241,8 @@ def map_table(table, kind, cfg, seed=0):
         raise ConfigurationError(
             "rank mapping needs a scalar theta; got %d coordinates "
             "(use theta_subset to pick one)" % sel.size)
-    include_y = cfg.include_y and kind in (MappingKind.BINARY_FULL, MappingKind.MULTICLASS)
-    if kind is MappingKind.BINARY_FULL and not include_y:
-        kind = MappingKind.BINARY_NO_Y
     S, K, ds = table.S, table.M + 1, sel.size
-    d_y = table.d_y if include_y else 0
+    d_y = table.d_y if kind in (MappingKind.BINARY_FULL, MappingKind.MULTICLASS) else 0
     p = sum(ds if name == "rank" else 1 for name in cfg.linear_features)
 
     # written in place: the rows are the output, with no temporaries of

@@ -421,7 +421,12 @@ def sbc_rank_test(table, n_bins=None, alpha=0.05, seed=0):
 
     Returns (per-dimension p-values, reject flag).  Bins partition the M+1
     rank atoms contiguously; unequal bin sizes get exact expected counts.
+    No runs, or an alpha outside (0, 1), raise before any ranking.
     """
+    if table.S == 0:
+        raise InvalidParameterError("SBC needs at least one run")
+    if not 0 < alpha < 1:
+        raise InvalidParameterError("alpha must be in (0, 1), got %r" % alpha)
     M = table.M
     if n_bins is None:
         n_bins = min(M + 1, 20)

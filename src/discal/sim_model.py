@@ -188,31 +188,6 @@ class SimulationTable:
                                self.run_ids[idx], self.provenance)
 
 
-def exact_gaussian_posterior(y, sigma2):
-    """Exact posterior for theta ~ N(0, I), y|theta ~ N(theta, sigma2*I).
-
-    Conjugate-normal algebra gives N(y/(1+sigma2), sigma2/(1+sigma2)*I).
-    """
-    if not sigma2 > 0:
-        raise InvalidParameterError("sigma2 must be > 0")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameterError("y must be finite")
-    d = y.shape[0]
-    shrink = 1.0 / (1.0 + sigma2)
-    return GaussianPosterior(mean=y * shrink, covariance=sigma2 * shrink * np.eye(d))
-
-
-def corrupt(p, c):
-    """Apply a Corruption to a GaussianPosterior."""
-    return GaussianPosterior(mean=p.mean + c.bias, covariance=c.variance_scale * p.covariance)
-
-
-def _check_rho(rho):
-    if not (0.0 <= rho < 1.0):
-        raise InvalidParameterError("rho must be in [0, 1)")
-
-
 def _ar1_in_place(x, mean, rho):
     """Turn scaled innovations x (..., M, d) into AR(1) draws, in place.
 
@@ -230,21 +205,6 @@ def _ar1_in_place(x, mean, rho):
         x[..., m, :] *= innov_scale
         x[..., m, :] += mean + rho * (x[..., m - 1, :] - mean)
     return x
-
-
-def generate_ar1_draws(p, M, rho, rng):
-    """M draws from a Gaussian AR(1) chain with stationary marginal p.
-
-    theta_1 ~ p; theta_{m+1} = mu + rho*(theta_m - mu) + sqrt(1-rho^2)*L*z.
-    rho=0 gives IID draws from p.  `rng` may be a Generator or an int seed.
-    """
-    _check_rho(rho)
-    if M < 1:
-        raise InvalidParameterError("M must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    z = rng.standard_normal((M, p.dim)) @ p.chol.T
-    return _ar1_in_place(z, p.mean, rho)
 
 
 def _isotropic_logpdf(x, mean, sd):
@@ -266,7 +226,9 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     """Simulate S runs of the closed-form Gaussian scenario.
 
     Per run: theta ~ N(0, I_d), y ~ N(theta, sigma2*I), then M draws from
-    corrupt(exact posterior, c) -- IID when rho=0, AR(1) otherwise.  With
+    the exact posterior N(y/(1+sigma2), sigma2/(1+sigma2)*I) with c.bias
+    added to its mean and its covariance times c.variance_scale -- IID when
+    rho=0, otherwise an AR(1) chain with that stationary marginal.  With
     attach_densities, log_p holds the exact posterior log density and log_q
     the corrupted one, both evaluated at [theta, draws].  Each run uses an
     independent RNG substream spawned from `seed`, so the table is
@@ -275,9 +237,9 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     Only the random draws are taken run by run (one standard_normal call of
     2d + M*d values per substream: theta, the y noise, then the draws'
     innovations); the arithmetic is batched over runs and gives the same
-    bits as building exact_gaussian_posterior / corrupt / generate_ar1_draws
-    for each run.  The table's theta and draws are views into one
-    (S, M+2, d) buffer.
+    bits as building each run's GaussianPosterior pair and chain on its
+    own (the per-run reference in the tests).  The table's theta and draws
+    are views into one (S, M+2, d) buffer.
     """
     if d < 1 or S < 1 or M < 1:
         raise InvalidParameterError("d, S, M must all be >= 1")
@@ -287,7 +249,8 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
         raise InvalidParameterError("bias must be finite")
     if not (c.variance_scale > 0 and math.isfinite(c.variance_scale)):
         raise InvalidParameterError("variance_scale must be finite and > 0")
-    _check_rho(rho)
+    if not (0.0 <= rho < 1.0):
+        raise InvalidParameterError("rho must be in [0, 1)")
     shrink = 1.0 / (1.0 + sigma2)
     var_p = sigma2 * shrink
     var_q = c.variance_scale * var_p

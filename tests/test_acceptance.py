@@ -17,6 +17,7 @@ from discal import diagnostics as dg
 from discal import label_mapping as lm
 from discal import oracle
 from discal import sim_model as sm
+from gaussian_reference import exact_gaussian_posterior
 
 
 def verdict(n, name, ok, detail):
@@ -303,7 +304,7 @@ def _prior_q_table(d, S, M, sigma2, seed):
         y[i] = theta[i] + math.sqrt(sigma2) * rng.standard_normal(d)
         draws[i] = prior.sample(M, rng)
         pts = np.vstack([theta[i][None, :], draws[i]])
-        post = sm.exact_gaussian_posterior(y[i], sigma2)
+        post = exact_gaussian_posterior(y[i], sigma2)
         log_p[i] = post.logpdf(pts)
         log_q[i] = prior.logpdf(pts)
     return sm.SimulationTable(theta, y, draws, log_p, log_q)

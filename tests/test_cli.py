@@ -106,14 +106,14 @@ def test_diagnose_writes_no_report_with_a_non_finite_number(tmp_path, capsys, mo
     table = tmp_path / "table.jsonl"
     run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])
     capsys.readouterr()
-    real_pipeline = dg.run_pipeline
+    real_diagnose = dg.diagnose_mapped
 
     def nan_divergence(*args, **kwargs):
-        report, test, model = real_pipeline(*args, **kwargs)
+        report, test, model = real_diagnose(*args, **kwargs)
         report.divergence = float("nan")
         return report, test, model
 
-    monkeypatch.setattr(dg, "run_pipeline", nan_divergence)
+    monkeypatch.setattr(dg, "diagnose_mapped", nan_divergence)
     report = tmp_path / "report.json"
     code = run(["diagnose", "--table", str(table), "--hidden", "4", "--epochs", "1",
                 "--B", "20", "--R", "100", "--out", str(report)])
@@ -156,6 +156,34 @@ def test_diagnose_visual_uses_the_pipeline_mapping_seed(tmp_path):
 
     np.testing.assert_array_equal(coords, ranks(dg.pipeline_seeds(3)[0]))
     assert not np.array_equal(coords, ranks(0))
+
+
+@pytest.mark.parametrize("options", [
+    ["--mapping", "binary", "--features", "logp,logq", "--visual", "v.csv",
+     "--coordinate", "log_p"],
+    ["--mapping", "rank", "--visual", "v.csv"],
+    ["--mapping", "multiclass", "--features", "logp,logq"],
+], ids=["binary_visual", "rank_visual", "multiclass"])
+def test_diagnose_maps_the_table_once(tmp_path, monkeypatch, options):
+    # the model config, the --visual check, training, scoring and the export
+    # all read one map of the table
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])
+    maps = []
+    real_map_table = lm.map_table
+
+    def counting_map_table(*args, **kwargs):
+        maps.append(args[0].S)
+        return real_map_table(*args, **kwargs)
+
+    monkeypatch.setattr(lm, "map_table", counting_map_table)
+    monkeypatch.chdir(tmp_path)
+    code = run(["diagnose", "--table", str(table), "--hidden", "4", "--epochs", "1",
+                "--B", "20", "--R", "100", *options])
+    assert code == 0
+    assert maps == [30]
+    if "--visual" in options:
+        assert len((tmp_path / "v.csv").read_text().splitlines()) == 30 * 4 + 1
 
 
 def test_diagnose_deterministic(tmp_path):

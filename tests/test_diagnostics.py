@@ -56,7 +56,7 @@ def test_divergence_estimate_offsets():
 def test_lpd_val_against_direct_computation():
     mapped = make_mapped()
     model = oracle_weight_model(1)
-    lpd, scores = dg.lpd_val(model, mapped, clf.UNWEIGHTED)
+    lpd, scores = dg.lpd_val(clf.label_table(model, mapped, clf.UNWEIGHTED))
     # one score per run: the mean over its examples
     assert scores.shape == (len(mapped),)
     direct = []
@@ -108,12 +108,12 @@ def test_bootstrap_ci_coverage_with_fixed_model():
     model = oracle_weight_model(1)
     scheme = clf.balanced_binary(3)
     big = make_mapped(bias=0.5, S=20000, seed=999)
-    truth, _ = dg.lpd_val(model, big, scheme)
+    truth, _ = dg.lpd_val(clf.label_table(model, big, scheme))
     hits = 0
     n_rep = 60
     for rep in range(n_rep):
         mapped = make_mapped(bias=0.5, S=150, seed=1000 + rep)
-        _, scores = dg.lpd_val(model, mapped, scheme)
+        _, scores = dg.lpd_val(clf.label_table(model, mapped, scheme))
         lo, hi, _ = dg.bootstrap_ci(scores, R=400, seed=rep)
         hits += lo <= truth <= hi
     # binomial(60, 0.95) is above 50 with overwhelming probability
@@ -130,7 +130,7 @@ def test_permutation_test_is_within_batch():
                           hidden_sizes=(1,), n_linear_features=0)
     model = clf.Model(cfg, seed=0)
     model.set_params(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))  # score = tanh(y)
-    res = dg.permutation_test(model, mapped, B=200, seed=4)
+    res = dg.permutation_test(clf.label_table(model, mapped), B=200, seed=4)
     np.testing.assert_allclose(res.lpd_permuted, res.lpd_observed, atol=1e-12)
     assert res.p_value == 1.0
 
@@ -138,7 +138,8 @@ def test_permutation_test_is_within_batch():
 def test_permutation_test_detects_signal():
     mapped = make_mapped(bias=2.0, S=60, seed=3)
     model = oracle_weight_model(1)
-    res = dg.permutation_test(model, mapped, clf.balanced_binary(3), B=500, seed=5)
+    T = clf.label_table(model, mapped, clf.balanced_binary(3))
+    res = dg.permutation_test(T, B=500, seed=5)
     assert res.p_value < 0.01
     assert res.lpd_permuted.shape == (500,)
 
@@ -163,7 +164,7 @@ def test_binary_replicates_match_the_per_example_loop(scheme):
     S, K, B, seed = 40, 7, 25, 8
     mapped = make_mapped(bias=0.7, d=2, S=S, M=K - 1, seed=4)
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=6)
-    res = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
+    res = dg.permutation_test(clf.label_table(model, mapped, scheme), B=B, seed=seed)
     pos = np.random.default_rng(seed).integers(0, K, size=(B, S))  # one chunk of draws
     labels = np.ones((B, S, K), dtype=int)
     np.put_along_axis(labels, pos[:, :, None], 0, axis=2)
@@ -202,16 +203,16 @@ def test_a_replicate_is_the_lpd_of_a_swapped_table(kind):
     mapped = lm.map_table(table, kind, cfg)
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=2)
     scheme = clf.UNWEIGHTED if kind is lm.MappingKind.MULTICLASS else clf.balanced_binary(M)
-    res = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
+    res = dg.permutation_test(clf.label_table(model, mapped, scheme), B=B, seed=seed)
     # a gathered copy of the runs, in table order, gives the same bits
-    again = dg.permutation_test(model, clf.arrays_from_batches(mapped, np.arange(S)), scheme,
-                                B=B, seed=seed)
+    gathered = clf.arrays_from_batches(mapped, np.arange(S))
+    again = dg.permutation_test(clf.label_table(model, gathered, scheme), B=B, seed=seed)
     assert again.lpd_permuted.tobytes() == res.lpd_permuted.tobytes()
     draws = np.random.default_rng(seed).integers(0, M + 1, size=(B, S))
     assert len({tuple(row) for row in draws}) == B
     for b in range(B):
-        lpd, _ = dg.lpd_val(model, lm.map_table(swap_theta(table, draws[b]), kind, cfg),
-                            scheme)
+        swapped = lm.map_table(swap_theta(table, draws[b]), kind, cfg)
+        lpd, _ = dg.lpd_val(clf.label_table(model, swapped, scheme))
         assert abs(lpd - res.lpd_permuted[b]) < 1e-12
 
 
@@ -222,8 +223,8 @@ def test_permutation_test_observed_is_the_validation_lpd(layout):
     data = clf.arrays_from_batches(mapped, np.arange(29, -1, -2))
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=1)
     scheme = clf.balanced_binary(4) if layout == "binary" else clf.UNWEIGHTED
-    res = dg.permutation_test(model, data, scheme, B=300, seed=9)
-    lpd, _ = dg.lpd_val(model, data, scheme)
+    res = dg.permutation_test(clf.label_table(model, data, scheme), B=300, seed=9)
+    lpd, _ = dg.lpd_val(clf.label_table(model, data, scheme))
     assert abs(res.lpd_observed - lpd) < 1e-12
     assert 0.0 <= res.p_value <= 1.0
 
@@ -238,7 +239,8 @@ def test_multiclass_permutation_p_is_uniform_under_the_null():
                                kind=lm.MappingKind.MULTICLASS)
         if model is None:
             model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(4,)), seed=1)
-        hits += dg.permutation_test(model, mapped, B=99, seed=i).p_value <= 0.05
+        T = clf.label_table(model, mapped)
+        hits += dg.permutation_test(T, B=99, seed=i).p_value <= 0.05
     assert hits <= 27
 
 
@@ -251,8 +253,8 @@ def test_permutation_test_properties(d, S, M, multiclass, weighted, B, seed):
     mapped = make_mapped(bias=0.5, d=d, S=S, M=M, seed=seed % 1000, kind=kind)
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(3,)), seed=seed)
     scheme = clf.balanced_binary(M) if weighted and not multiclass else clf.UNWEIGHTED
-    res = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
-    again = dg.permutation_test(model, mapped, scheme, B=B, seed=seed)
+    res = dg.permutation_test(clf.label_table(model, mapped, scheme), B=B, seed=seed)
+    again = dg.permutation_test(clf.label_table(model, mapped, scheme), B=B, seed=seed)
     assert 0.0 <= res.p_value <= 1.0
     assert res.p_value == round(res.p_value * B) / B  # k/B, as the nearest double
     assert res.lpd_permuted.shape == (B,)
@@ -264,7 +266,7 @@ def test_permutation_test_validation():
     mapped = make_mapped(S=4)
     model = oracle_weight_model(1)
     with pytest.raises(sm.InvalidParameterError):
-        dg.permutation_test(model, mapped, B=0)
+        dg.permutation_test(clf.label_table(model, mapped), B=0)
 
 
 @pytest.mark.parametrize("kind", [lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS])
@@ -273,7 +275,9 @@ def test_zero_runs_raise_one_labelled_error_in_every_scorer(kind):
     mapped = make_mapped(S=4, kind=kind)
     empty = clf.arrays_from_batches(mapped, [])
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(3,)), seed=0)
-    for score in (clf.loss, dg.lpd_val, dg.permutation_test):
+    scorers = (clf.loss, lambda m, data: dg.lpd_val(clf.label_table(m, data)),
+               lambda m, data: dg.permutation_test(clf.label_table(m, data)))
+    for score in scorers:
         with pytest.raises(sm.InvalidParameterError, match="^cannot score a table of zero runs$"):
             score(model, empty)
 
@@ -493,17 +497,43 @@ def test_one_statistic_gives_one_number(name, monkeypatch):
     scored = []
     real_lpd_val = dg.lpd_val
 
-    def recording_lpd_val(model, data, scheme):
-        scored.append(data)
-        return real_lpd_val(model, data, scheme)
+    def recording_lpd_val(T):
+        scored.append(T)
+        return real_lpd_val(T)
 
     monkeypatch.setattr(dg, "lpd_val", recording_lpd_val)
     rep, test, model = dg.run_pipeline(table, kind, cfg, model_cfg=model_cfg,
                                        settings=settings, B=40, R=150)
-    (val_data,) = scored
-    assert rep.lpd_val == test.lpd_observed == -clf.loss(model, val_data,
-                                                         settings.weight_scheme)
-    assert rep.n_val_examples == val_data.rows[..., 0].size
+    (T,) = scored
+    assert rep.lpd_val == test.lpd_observed == clf.table_lpd(T)
+    assert rep.n_val_examples == T.size
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_run_pipeline_scores_the_validation_runs_once(name, monkeypatch):
+    # after training, one label table of the validation runs feeds the LPD,
+    # its bootstrap and the permutation test
+    table, kind, cfg, model_cfg, settings = pinned_case(name)
+    scored, trained = [], []
+    real_train, real_label_table = clf.train, clf.label_table
+
+    def recording_train(*args):
+        model = real_train(*args)
+        trained.append(len(scored))
+        return model
+
+    def recording_label_table(model, data, scheme=clf.UNWEIGHTED):
+        scored.append(data)
+        return real_label_table(model, data, scheme)
+
+    monkeypatch.setattr(clf, "train", recording_train)
+    monkeypatch.setattr(clf, "label_table", recording_label_table)
+    rep, test, model = dg.run_pipeline(table, kind, cfg, model_cfg=model_cfg,
+                                       settings=settings, B=40, R=150)
+    (after_train,) = trained
+    (val_data,) = scored[after_train:]
+    assert len(val_data) == int(settings.val_fraction * table.S)
+    assert rep.lpd_val == -clf.loss(model, val_data, settings.weight_scheme)
 
 
 def test_run_pipeline_stage_errors():

@@ -321,8 +321,7 @@ def reference_map_one_run(run, kind, cfg, rng):
     if kind is lm.MappingKind.BINARY_RANK:
         return SimpleNamespace(labels=labels, features=np.hstack([ranks[:, None], lin]),
                                kind=kind, d_nonlinear=1, d_y=0, **meta)
-    include_y = cfg.include_y and kind is not lm.MappingKind.BINARY_NO_Y
-    d_y = run.y.shape[0] if include_y else 0
+    d_y = 0 if kind is lm.MappingKind.BINARY_NO_Y else run.y.shape[0]
     if kind is lm.MappingKind.MULTICLASS:
         K = M + 1
         features = np.empty((K, K * sel.size + d_y + K * lin.shape[1]))
@@ -334,7 +333,6 @@ def reference_map_one_run(run, kind, cfg, rng):
         return SimpleNamespace(labels=np.arange(K), features=features, kind=kind,
                                d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
     blocks = [occupants] + ([np.repeat(run.y[None, :], M + 1, axis=0)] if d_y else [])
-    kind = lm.MappingKind.BINARY_FULL if include_y else lm.MappingKind.BINARY_NO_Y
     return SimpleNamespace(labels=labels, features=np.hstack(blocks + [lin]), kind=kind,
                            d_nonlinear=sel.size + d_y, d_y=d_y, **meta)
 
@@ -397,14 +395,12 @@ def test_batched_mapper_matches_per_run_reference(seed, d):
         for kind in lm.MappingKind:
             for feats in FEATURE_SETS:
                 for subset in (None, (d - 1,), (0, d - 1)):
-                    for include_y in (True, False):
-                        cfg = lm.FeatureConfig(include_y=include_y, theta_subset=subset,
-                                               linear_features=feats)
-                        ref = _outcome(lambda: reference_map_table(table, kind, cfg, seed))
-                        got = _outcome(lambda: lm.map_table(table, kind, cfg, seed))
-                        _assert_same_batches(got, ref)
-                        one = _outcome(lambda: map_first(table, kind, cfg, seed))
-                        _assert_same_batches(one, ref if isinstance(ref, type) else ref[:1])
+                    cfg = lm.FeatureConfig(theta_subset=subset, linear_features=feats)
+                    ref = _outcome(lambda: reference_map_table(table, kind, cfg, seed))
+                    got = _outcome(lambda: lm.map_table(table, kind, cfg, seed))
+                    _assert_same_batches(got, ref)
+                    one = _outcome(lambda: map_first(table, kind, cfg, seed))
+                    _assert_same_batches(one, ref if isinstance(ref, type) else ref[:1])
 
 
 def test_batched_mapper_error_types_match_reference():

@@ -244,6 +244,27 @@ def test_sbc_rank_test_null_and_power():
         oracle.sbc_rank_test(null, n_bins=1)
 
 
+def _no_ranking(*args, **kwargs):
+    raise AssertionError("ranked before the check")
+
+
+def test_sbc_rank_test_rejects_a_table_without_runs(monkeypatch):
+    # zero runs have no rank histogram: no p-value, rather than p = nan
+    empty = sm.generate_gaussian_table(2, 5, 4, 1.0, sm.Corruption(), seed=0).take(slice(0, 0))
+    monkeypatch.setattr(oracle, "_jittered_ranks", _no_ranking)
+    with pytest.raises(sm.InvalidParameterError, match="^SBC needs at least one run$"):
+        oracle.sbc_rank_test(empty)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.1, 0.0, 1.0, math.nan])
+def test_sbc_rank_test_rejects_alpha_outside_the_unit_interval(monkeypatch, alpha):
+    # alpha = 1.5 would reject every table and -0.1 none
+    t = sm.generate_gaussian_table(1, 50, 5, 1.0, sm.Corruption(), seed=0)
+    monkeypatch.setattr(oracle, "_jittered_ranks", _no_ranking)
+    with pytest.raises(sm.InvalidParameterError, match=r"alpha must be in \(0, 1\)"):
+        oracle.sbc_rank_test(t, alpha=alpha)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("M, n_bins", [(39, 2), (39, 20), (39, 40), (39, 7), (9, 3)],
                          ids=["2_bins", "20_bins", "M+1_bins", "unequal_7_of_40",

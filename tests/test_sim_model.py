@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from discal import sim_model as sm
+from gaussian_reference import corrupt, exact_gaussian_posterior, generate_ar1_draws
 
 
 def test_exact_posterior_closed_form():
     # theta ~ N(0, I), y | theta ~ N(theta, sigma2 I)
     # posterior mean y/(1+sigma2), covariance sigma2/(1+sigma2) I
     y = np.array([2.0, -1.0])
-    post = sm.exact_gaussian_posterior(y, 3.0)
+    post = exact_gaussian_posterior(y, 3.0)
     np.testing.assert_allclose(post.mean, y / 4.0, atol=1e-14)
     np.testing.assert_allclose(post.covariance, 0.75 * np.eye(2), atol=1e-14)
 
@@ -25,7 +26,7 @@ def test_exact_posterior_matches_bayes_rule_numerically():
     # cross-check: posterior density proportional to prior * likelihood
     y = np.array([1.3])
     sigma2 = 0.7
-    post = sm.exact_gaussian_posterior(y, sigma2)
+    post = exact_gaussian_posterior(y, sigma2)
     grid = np.linspace(-3, 3, 7)[:, None]
     log_joint = (multivariate_normal(np.zeros(1), np.eye(1)).logpdf(grid)
                  + multivariate_normal(y, sigma2 * np.eye(1)).logpdf(grid))
@@ -55,14 +56,14 @@ def test_posterior_validation_errors():
     with pytest.raises(sm.InvalidParameterError):
         sm.GaussianPosterior(np.zeros(2), -np.eye(2))
     with pytest.raises(sm.InvalidParameterError):
-        sm.exact_gaussian_posterior(np.zeros(2), 0.0)
+        exact_gaussian_posterior(np.zeros(2), 0.0)
 
 
 def test_corruption():
-    post = sm.exact_gaussian_posterior(np.array([1.0]), 1.0)
+    post = exact_gaussian_posterior(np.array([1.0]), 1.0)
     c = sm.Corruption(bias=0.5, variance_scale=2.0)
     assert not c.is_identity
-    q = sm.corrupt(post, c)
+    q = corrupt(post, c)
     np.testing.assert_allclose(q.mean, post.mean + 0.5)
     np.testing.assert_allclose(q.covariance, 2.0 * post.covariance)
     assert sm.Corruption().is_identity
@@ -72,7 +73,7 @@ def test_corruption():
 
 def test_ar1_rho_zero_is_iid():
     p = sm.GaussianPosterior(np.array([1.0, -2.0]), np.diag([2.0, 0.5]))
-    draws = sm.generate_ar1_draws(p, 5000, 0.0, 7)
+    draws = generate_ar1_draws(p, 5000, 0.0, 7)
     direct = p.sample(5000, np.random.default_rng(7))
     # same generator consumption order: the chains coincide exactly at rho=0
     np.testing.assert_allclose(draws[0], direct[0])
@@ -82,14 +83,14 @@ def test_ar1_rho_zero_is_iid():
 
 def test_ar1_lag1_autocorrelation():
     p = sm.GaussianPosterior(np.array([0.0]), np.array([[1.5]]))
-    draws = sm.generate_ar1_draws(p, 10000, 0.9, 11)[:, 0]
+    draws = generate_ar1_draws(p, 10000, 0.9, 11)[:, 0]
     corr = np.corrcoef(draws[:-1], draws[1:])[0, 1]
     assert abs(corr - 0.9) < 0.02
 
 
 def test_ar1_stationary_moments():
     p = sm.GaussianPosterior(np.array([2.0, -1.0]), np.diag([0.5, 3.0]))
-    draws = sm.generate_ar1_draws(p, 10**5, 0.7, 13)
+    draws = generate_ar1_draws(p, 10**5, 0.7, 13)
     n_eff = 10**5 * (1 - 0.7) / (1 + 0.7)  # AR(1) effective sample size
     se = np.sqrt(np.diag(p.covariance) / n_eff)
     assert np.all(np.abs(draws.mean(axis=0) - p.mean) < 4 * se)
@@ -99,9 +100,9 @@ def test_ar1_validation():
     p = sm.GaussianPosterior(np.array([0.0]), np.array([[1.0]]))
     for rho in (-0.1, 1.0, 1.5):
         with pytest.raises(sm.InvalidParameterError):
-            sm.generate_ar1_draws(p, 3, rho, 0)
+            generate_ar1_draws(p, 3, rho, 0)
     with pytest.raises(sm.InvalidParameterError):
-        sm.generate_ar1_draws(p, 0, 0.5, 0)
+        generate_ar1_draws(p, 0, 0.5, 0)
 
 
 def test_generate_table_determinism_and_shapes():
@@ -129,8 +130,8 @@ def test_attached_densities_are_exact():
     c = sm.Corruption(bias=0.3, variance_scale=1.5)
     t = sm.generate_gaussian_table(2, 3, 4, 2.0, c, seed=9, attach_densities=True)
     for i in range(t.S):
-        p = sm.exact_gaussian_posterior(t.y[i], 2.0)
-        q = sm.corrupt(p, c)
+        p = exact_gaussian_posterior(t.y[i], 2.0)
+        q = corrupt(p, c)
         pts = np.vstack([t.theta[i][None, :], t.draws[i]])
         np.testing.assert_allclose(t.log_p[i], p.logpdf(pts), atol=1e-12)
         np.testing.assert_allclose(t.log_q[i], q.logpdf(pts), atol=1e-12)
@@ -474,8 +475,8 @@ def reference_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False,
         rng = np.random.default_rng(ss)
         theta = rng.standard_normal(d)
         y = theta + sd * rng.standard_normal(d)
-        exact = sm.exact_gaussian_posterior(y, sigma2)
-        qpost = sm.corrupt(exact, c)
+        exact = exact_gaussian_posterior(y, sigma2)
+        qpost = corrupt(exact, c)
         draws = ar1(qpost, rng)
         log_p = log_q = None
         if attach_densities:
