@@ -21,7 +21,7 @@ deterministic given the seed (fixed shuffle order, fixed reduction order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,8 +138,8 @@ class Model:
 
     The weights, biases and w_linear are views into one flat buffer,
     `params`, in get_params() order, so an optimizer can update them all in
-    place.  x_mean and x_scale are None only inside train, whose rows are
-    standardized already; score then takes the nonlinear block as it is.
+    place.  x_mean and x_scale are None only inside train, which standardizes
+    the rows it gathers; score then takes the nonlinear block as it is.
     """
 
     def __init__(self, config, seed=0):
@@ -235,14 +235,22 @@ def _softmax(scores):
 
 # ---- dataset assembly -------------------------------------------------------
 
+@dataclass
 class ExampleArrays(lm.MappedTable):
     """Runs gathered from a mapped table into rows of their own.
 
-    A pass may change these rows in place (train standardizes its fit
+    A pass may change these rows in place (train standardizes its hold-out
     rows); map_table's rows are read-only and shared by its run views.
-    gradient gets one from train: whole runs, or a binary minibatch's
-    `index` over the fit rows.
+    gradient gets one per training step: the examples at map positions
+    `index` (whole runs for multiclass), whose rows, standardized, are `block`.
     """
+
+    block: np.ndarray | None = None
+
+    def scored_rows(self):
+        if self.block is None:
+            return super().scored_rows()
+        return self.block[:, :self.d_nonlinear], self.block[:, self.d_nonlinear:]
 
 
 def arrays_from_batches(mapped, runs):
@@ -393,13 +401,15 @@ def train(mapped, runs, config, settings):
     estimates the same mean loss without bias.  A fraction of the runs
     (val_fraction, floor rule) is held out for early stopping; the returned
     model carries the parameters with the best held-out loss, or the final
-    parameters when no hold-out exists.  The fit and hold-out runs are each
-    gathered once from the mapped rows, their nonlinear columns are
-    standardized in place, and the model gets the standardizer after the
-    last step.  A non-finite parameter update (from a non-finite gradient
-    or an overflowing step), a non-finite second moment or a non-finite
-    epoch loss raises TrainingDivergedError; an update is checked before it
-    reaches the parameters.
+    parameters when no hold-out exists.  No copy of the fit runs is kept:
+    each step standardizes in place the rows it gathers from the read-only
+    mapped rows, the hold-out runs are gathered and standardized once (with
+    none, each epoch's loss scores a fresh gather of the fit runs), and the
+    model gets the standardizer after the last step.  A non-finite
+    parameter update (from a non-finite gradient or an overflowing step), a
+    non-finite second moment or a non-finite epoch loss raises
+    TrainingDivergedError; an update is checked before it reaches the
+    parameters.
     """
     runs = np.asarray(runs, dtype=np.intp)
     if runs.size == 0:
@@ -408,22 +418,28 @@ def train(mapped, runs, config, settings):
 
     n_hold = int(runs.size * settings.val_fraction)
     order = rng.permutation(runs.size)
-    fit_data = arrays_from_batches(mapped, runs[order[n_hold:]])
-    hold_data = arrays_from_batches(mapped, runs[order[:n_hold]]) if n_hold else None
-
+    fit_runs, hold_runs = runs[order[n_hold:]], runs[order[:n_hold]]
     model = Model(config, seed=rng.integers(2**31))
-    standardizer = (model.x_mean, model.x_scale)
-    if config.input_dim > 0:
-        mean = fit_data.x_nl.mean(axis=0)
-        scale = fit_data.x_nl.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        standardizer = (mean, scale)
-        for data in (fit_data, hold_data):
-            if data is not None:
-                data.x_nl -= mean
-                data.x_nl /= scale
-    # the rows are standardized already: score takes them as they are until
-    # the standardizer is attached after the last step
+
+    # numpy's mean and std of the fit runs' nonlinear columns, op for op and bit for bit,
+    # from one gather centred and squared in place and freed before the hold-out gather
+    (K, F), d = mapped.rows.shape[1:], mapped.d_nonlinear
+    x = mapped.rows[fit_runs, :, :d].reshape(fit_runs.size * K, d)
+    mean = x.mean(axis=0)
+    x -= mean
+    scale = np.sqrt(np.square(x, out=x).sum(axis=0) / x.shape[0])
+    scale[scale == 0.0] = 1.0
+    del x
+
+    def standardized(runs):
+        data = arrays_from_batches(mapped, runs)
+        data.x_nl -= mean
+        data.x_nl /= scale
+        return data
+
+    hold_data = standardized(hold_runs) if n_hold else None
+    # the rows are standardized as they are gathered: score takes them as
+    # they are until the standardizer is attached after the last step
     model.x_mean = model.x_scale = None
 
     # Adam, in place on the live parameter buffer; each line keeps the
@@ -438,19 +454,29 @@ def train(mapped, runs, config, settings):
     step = 0
     best_loss, best_params = np.inf, None
     stale = 0
-    # the unit of a step: a whole run for multiclass, a row for binary
-    multiclass = fit_data.multiclass
-    K = fit_data.n_classes if multiclass else 1
-    units = len(fit_data) if multiclass else fit_data.x_nl.shape[0]
-    per_step = max(1, min(settings.minibatch_size // K, units))
+    # the unit of a step: a whole run of K rows for multiclass, a row for
+    # binary; row u of fit_rows holds unit u's map positions
+    multiclass = mapped.multiclass
+    unit = K if multiclass else 1
+    fit_rows = (fit_runs[:, None] * K + np.arange(K)).reshape(-1, unit)
+    units = len(fit_rows)
+    per_step = max(1, min(settings.minibatch_size // unit, units))
+    flat = mapped.rows.reshape(-1, F)
+    layout = (mapped.rows, mapped.run_ids, mapped.kind, d, mapped.d_y, mapped.linear_names)
+    # each step's (n, F) block is standardized whole, faster than its strided
+    # nonlinear columns: the tiles hold 0 and 1 in the linear ones, which is exact
+    shift, spread = np.zeros((per_step * unit, F)), np.ones((per_step * unit, F))
+    shift[:, :d], spread[:, :d] = mean, scale
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
         perm = rng.permutation(units)
         for start in range(0, units, per_step):
             chosen = perm[start:start + per_step]
-            batch = (arrays_from_batches(fit_data, np.sort(chosen)) if multiclass
-                     else replace(fit_data, index=chosen))
-            g = gradient(model, batch, scheme)
+            chosen = fit_rows.take(np.sort(chosen) if multiclass else chosen, axis=0).ravel()
+            block = flat.take(chosen, axis=0)
+            block -= shift[:len(block)]
+            block /= spread[:len(block)]
+            g = gradient(model, ExampleArrays(*layout, chosen, block), scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
             denom *= g
@@ -471,7 +497,8 @@ def train(mapped, runs, config, settings):
             if not np.isfinite(scratch).all():
                 raise TrainingDivergedError(epoch)
             params -= step_size
-        check = loss(model, hold_data if hold_data is not None else fit_data, scheme)
+        check = loss(model, hold_data if hold_data is not None else standardized(fit_runs),
+                     scheme)
         if not np.isfinite(check):
             raise TrainingDivergedError(epoch)
         if hold_data is not None:
@@ -484,6 +511,6 @@ def train(mapped, runs, config, settings):
                     break
     if best_params is not None:
         model.set_params(best_params)
-    model.set_standardizer(*standardizer)
+    model.set_standardizer(mean, scale)
     return model
 

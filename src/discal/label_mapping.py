@@ -249,8 +249,9 @@ def map_table(table, kind, cfg, seed=0):
     # their size
     rows = np.empty((S, K, ds + d_y + p))
     occ = np.empty((S, K, 1)) if kind is MappingKind.BINARY_RANK else rows[:, :, :ds]
-    occ[:, 0] = table.theta[:, sel]
-    occ[:, 1:] = table.draws[:, :, sel]
+    cols = slice(None) if cfg.theta_subset is None else sel  # a basic slice copies nothing
+    occ[:, 0] = table.theta[:, cols]
+    occ[:, 1:] = table.draws[:, :, cols]
     if d_y:
         rows[:, :, ds:ds + d_y] = table.y[:, None, :]
     ranked = [occ[:, :, 0]] if kind is MappingKind.BINARY_RANK else []

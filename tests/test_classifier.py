@@ -517,12 +517,14 @@ def test_multiclass_minibatches_are_whole_runs(monkeypatch, minibatch_size):
         perm = rng.permutation(S)
         covered = []
         for step, data in enumerate(seen[epoch * steps:(epoch + 1) * steps]):
-            chosen = np.sort(perm[step * per_step:(step + 1) * per_step])
-            # whole runs, gathered in fit-row order, all K examples of each
-            assert isinstance(data, clf.ExampleArrays) and data.index is None
-            assert data.rows.shape == (chosen.size, K, mapped.rows.shape[2])
-            np.testing.assert_array_equal(data.run_ids, mapped.run_ids[fit_runs[chosen]])
-            covered.extend(data.run_ids)
+            runs = fit_runs[np.sort(perm[step * per_step:(step + 1) * per_step])]
+            # whole runs in fit-row order: the map positions of all K
+            # examples of each, and their K rows each
+            assert isinstance(data, clf.ExampleArrays)
+            np.testing.assert_array_equal(data.index, (runs[:, None] * K + np.arange(K)).ravel())
+            np.testing.assert_array_equal(data.batch_ids, np.repeat(mapped.run_ids[runs], K))
+            assert data.scored_rows()[0].shape == (runs.size * K, mapped.d_nonlinear)
+            covered.extend(mapped.run_ids[runs])
         assert sorted(covered) == list(range(S))     # every fit run once per epoch
 
 
@@ -531,35 +533,68 @@ def test_binary_minibatches_slice_one_example_permutation(monkeypatch):
     cfg = clf.config_for_table(mapped, hidden_sizes=(3,))
     settings = clf.TrainSettings(epochs=2, minibatch_size=5, seed=6, val_fraction=0.0)
     seen = _recorded_minibatches(monkeypatch)
-    clf.train(mapped, all_runs(mapped), cfg, settings)
-    n, bs = 9 * 4, 5
+    model = clf.train(mapped, all_runs(mapped), cfg, settings)
+    K, n, bs = 4, 9 * 4, 5
     rng = np.random.default_rng(settings.seed)
-    rng.permutation(9)
+    fit_runs = rng.permutation(9)      # the fit runs, in this order
     rng.integers(2**31)
     want = []
     for _ in range(settings.epochs):
         perm = rng.permutation(n)
         want.extend(perm[start:start + bs] for start in range(0, n, bs))
     assert len(seen) == len(want)
+    flat, d = mapped.rows.reshape(n, -1), mapped.d_nonlinear
     for data, idx in zip(seen, want):
-        np.testing.assert_array_equal(data.index, idx)
-        np.testing.assert_array_equal(data.labels, np.minimum(idx % 4, 1))
+        # fit example i is row i % K of fit run i // K: the index holds its
+        # map position, and the step scores its own standardized rows there
+        positions = fit_runs[idx // K] * K + idx % K
+        assert isinstance(data, clf.ExampleArrays)
+        np.testing.assert_array_equal(data.index, positions)
+        np.testing.assert_array_equal(data.labels, np.minimum(idx % K, 1))
+        x_nl, x_lin = data.scored_rows()
+        np.testing.assert_array_equal(x_nl, (flat[positions, :d] - model.x_mean) / model.x_scale)
+        np.testing.assert_array_equal(x_lin, flat[positions, d:])
 
 
-def test_train_standardizes_its_own_copy_once():
-    mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=20, bias=0.5, seed=4)
+@pytest.mark.parametrize("kind, d", [(lm.MappingKind.BINARY_FULL, 2),
+                                     (lm.MappingKind.BINARY_NO_Y, 1),
+                                     (lm.MappingKind.BINARY_RANK, 1),
+                                     (lm.MappingKind.MULTICLASS, 2)],
+                         ids=["binary", "binary-noy", "rank", "multiclass"])
+def test_train_standardizer_is_numpys_mean_and_std_of_the_fit_runs(kind, d):
+    # 16 fit runs of K = 16 rows: more than numpy's 128-element pairwise
+    # block, so a one-column sum takes the recursive path
+    mapped = make_mapped(kind, d=d, S=20, M=15, bias=0.5, seed=4)
     before = mapped.rows.copy()
     cfg = clf.config_for_table(mapped, hidden_sizes=(5,))
     model = clf.train(mapped, all_runs(mapped), cfg,
-                      clf.TrainSettings(epochs=3, seed=1, val_fraction=0.0))
+                      clf.TrainSettings(epochs=2, seed=1, val_fraction=0.2))
     # the caller's rows are untouched
     np.testing.assert_array_equal(mapped.rows, before)
-    # the standardizer is that of the fit rows: here all runs, in the
-    # order train's seeded shuffle puts them
-    order = np.random.default_rng(1).permutation(len(mapped))
+    # the standardizer is numpy's over the fit runs' nonlinear columns: the
+    # runs after the 4 held out, in the order train's seeded shuffle puts them
+    order = np.random.default_rng(1).permutation(len(mapped))[4:]
     x_nl = clf.arrays_from_batches(mapped, order).x_nl
-    np.testing.assert_array_equal(model.x_mean, x_nl.mean(axis=0))
-    np.testing.assert_array_equal(model.x_scale, x_nl.std(axis=0))
+    assert x_nl.shape == (16 * 16, mapped.d_nonlinear)
+    np.testing.assert_array_equal(model.x_mean, np.mean(x_nl, axis=0))
+    np.testing.assert_array_equal(model.x_scale, np.std(x_nl, axis=0))
+
+
+def test_train_heap_peak_is_below_the_map_size():
+    # train keeps no copy of its fit runs: the standardizer's gather, the
+    # hold-out copy and each step's rows stay below the map's own size
+    import tracemalloc
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=4, S=200, M=100, seed=1)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(8,))
+    settings = clf.TrainSettings(learning_rate=0.01, epochs=2, minibatch_size=1024, seed=3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        clf.train(mapped, all_runs(mapped), cfg, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < mapped.rows.nbytes
 
 
 def _recording_score(model):

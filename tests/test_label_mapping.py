@@ -204,31 +204,42 @@ def test_null_feature_distribution_is_label_symmetric():
     assert abs(f0.mean() - f1.mean()) < 4 * se
 
 
-def test_split_batches_floor_rule_and_partition(monkeypatch):
+def test_pipeline_split_floor_rule_and_partition(monkeypatch):
     # run_pipeline splits whole runs: floor(val_fraction * S) validation
     # runs by a seeded shuffle, each side in table order
     from discal import diagnostics as dg
     t = small_table(S=10)
     seen, real = [], clf.arrays_from_batches
+    steps, real_gradient = [], clf.gradient
 
     def recording(mapped, runs):
         seen.append(np.asarray(runs).copy())
         return real(mapped, runs)
 
+    def recording_gradient(model, data, scheme=clf.UNWEIGHTED):
+        steps.append(data.index.copy())
+        return real_gradient(model, data, scheme)
+
     monkeypatch.setattr(clf, "arrays_from_batches", recording)
+    monkeypatch.setattr(clf, "gradient", recording_gradient)
     settings = clf.TrainSettings(epochs=1, seed=3, val_fraction=0.25)
     dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(), settings=settings,
                     B=10, R=100)
     _, s_split, s_train, _, _ = dg.pipeline_seeds(3)
     order = np.random.default_rng(s_split).permutation(10)
     val, train = np.sort(order[:2]), np.sort(order[2:])   # floor(0.25 * 10) = 2
-    # train's hold-out (floor(0.25 * 8) = 2 runs), its fit runs, then validation
+    # train's hold-out (floor(0.25 * 8) = 2 runs), then validation: the fit
+    # runs are never gathered whole
     hold_order = np.random.default_rng(s_train).permutation(8)
-    assert len(seen) == 3
-    np.testing.assert_array_equal(seen[0], train[hold_order[2:]])
-    np.testing.assert_array_equal(seen[1], train[hold_order[:2]])
-    np.testing.assert_array_equal(seen[2], val)
-    assert sorted(np.concatenate(seen).tolist()) == list(range(10))   # a partition
+    fit = train[hold_order[2:]]
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0], train[hold_order[:2]])
+    np.testing.assert_array_equal(seen[1], val)
+    # the epoch's minibatches visit every row of every fit run once
+    K = t.M + 1
+    np.testing.assert_array_equal(np.sort(np.concatenate(steps)),
+                                  np.sort((fit[:, None] * K + np.arange(K)).ravel()))
+    assert sorted(np.concatenate(seen + [fit]).tolist()) == list(range(10))   # a partition
     with pytest.raises(dg.PipelineError, match="val_fraction") as err:
         dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(),
                         settings=clf.TrainSettings(val_fraction=0.0), B=10, R=100)
