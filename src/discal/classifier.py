@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import label_mapping as lm
-from .sim_model import InvalidParameterError
+from .sim_model import InvalidParameterError, blocks
 
 PROB_CLAMP = 1e-12
 
@@ -304,7 +304,7 @@ def run_log_probs(model, data):
 
 
 def label_table(model, data, weight_scheme=UNWEIGHTED):
-    """(R, K) weighted label log-likelihoods of R whole runs, one scoring pass.
+    """(R, K) weighted label log-likelihoods of R whole runs, each run scored once.
 
     T[s, j] is the sum of the weighted clamped log probabilities of run s's
     K example labels if occupant j held theta; column 0 holds the observed
@@ -313,18 +313,43 @@ def label_table(model, data, weight_scheme=UNWEIGHTED):
     - w1 L1[s, j]), and rows that score the same give equal columns, bit
     for bit.  All K examples of a multiclass run have the probability that
     theta's occupant holds theta, so T is run_log_probs times the sum of the
-    K labels' weights.  A table of zero runs has no LPD and raises.
+    K labels' weights.  The runs are scored one block at a time (see
+    sim_model.blocks).  A table of zero runs has no LPD and raises.
     """
-    if data.rows.shape[0] == 0:
+    return _blocked_table(model, data.rows.shape, lambda runs: lm.MappedTable(
+        data.rows[runs], data.run_ids[runs], data.kind, data.d_nonlinear, data.d_y,
+        data.linear_names), weight_scheme)
+
+
+def scoring_width(model, n_features):
+    """Elements a scoring pass holds per row: the row and each hidden activation."""
+    return n_features + sum(model.config.hidden_sizes)
+
+
+def _blocked_table(model, shape, runs_data, weight_scheme):
+    """label_table of R runs laid out as `shape`, (R, K, F).
+
+    runs_data(runs) gives the runs at the slice `runs` as a table to score.
+    """
+    R, K, F = shape
+    if R == 0:
         raise InvalidParameterError("cannot score a table of zero runs")
-    if data.multiclass:
-        return run_log_probs(model, data) * example_weights(np.arange(data.n_classes),
-                                                            weight_scheme).sum()
-    L = class_log_probs(model, data).reshape(data.rows.shape[:2] + (2,))
-    L *= example_weights(np.arange(2), weight_scheme)
-    T = np.subtract(L[:, :, 0], L[:, :, 1])
-    T += L[:, :, 1].sum(axis=1, keepdims=True)
+    T = np.empty((R, K))
+    for runs in blocks(R, K * scoring_width(model, F)):
+        _score_runs(model, runs_data(runs), weight_scheme, out=T[runs])
     return T
+
+
+def _score_runs(model, data, weight_scheme, out):
+    """Write label_table of all the runs of `data` into `out`, in one scoring pass."""
+    if data.multiclass:
+        np.multiply(run_log_probs(model, data),
+                    example_weights(np.arange(data.n_classes), weight_scheme).sum(), out=out)
+        return
+    L = class_log_probs(model, data).reshape(out.shape + (2,))
+    L *= example_weights(np.arange(2), weight_scheme)
+    np.subtract(L[:, :, 0], L[:, :, 1], out=out)
+    out += L[:, :, 1].sum(axis=1, keepdims=True)
 
 
 def table_lpd(T):
@@ -404,7 +429,8 @@ def train(mapped, runs, config, settings):
     parameters when no hold-out exists.  No copy of the fit runs is kept:
     each step standardizes in place the rows it gathers from the read-only
     mapped rows, the hold-out runs are gathered and standardized once (with
-    none, each epoch's loss scores a fresh gather of the fit runs), and the
+    none, each epoch's loss gathers, standardizes and scores the fit runs
+    one block at a time, as label_table blocks its runs), and the
     model gets the standardizer after the last step.  A non-finite
     parameter update (from a non-finite gradient or an overflowing step), a
     non-finite second moment or a non-finite epoch loss raises
@@ -497,8 +523,11 @@ def train(mapped, runs, config, settings):
             if not np.isfinite(scratch).all():
                 raise TrainingDivergedError(epoch)
             params -= step_size
-        check = loss(model, hold_data if hold_data is not None else standardized(fit_runs),
-                     scheme)
+        if hold_data is not None:
+            check = loss(model, hold_data, scheme)
+        else:
+            check = -table_lpd(_blocked_table(model, (fit_runs.size, K, F),
+                                              lambda part: standardized(fit_runs[part]), scheme))
         if not np.isfinite(check):
             raise TrainingDivergedError(epoch)
         if hold_data is not None:

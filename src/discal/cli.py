@@ -282,7 +282,7 @@ def main(argv=None):
     try:
         return handler(args)
     except (sm.InvalidParameterError, sm.TableFormatError, lm.ConfigurationError,
-            dg.PipelineError, oracle.EnumerationBudgetError, OSError) as exc:
+            dg.PipelineError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

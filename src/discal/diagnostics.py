@@ -34,7 +34,7 @@ import numpy as np
 
 from . import classifier as clf
 from . import label_mapping as lm
-from .sim_model import InvalidParameterError
+from .sim_model import _CHUNK_ELEMENTS, InvalidParameterError, blocks
 
 
 class PipelineError(RuntimeError):
@@ -132,25 +132,25 @@ def bootstrap_ci(run_scores, R=1000, alpha=0.05, seed=0, offset=0.0):
     the empirical (alpha/2, 1-alpha/2) quantile band of replicate means
     plus `offset` (pass the entropy offset to get a CI on the divergence
     scale).  Returns (low, high, widened); widened is True when the band
-    excluded the point estimate and was stretched to contain it.
+    excluded the point estimate and was stretched to contain it.  The
+    weights are drawn and applied one block of replicates at a time (see
+    sim_model.blocks), which gives the bits of one (R, S) draw.
     """
     _check_bootstrap_settings(R, alpha)
     run_scores = np.asarray(run_scores, dtype=float)
     if run_scores.size < 2:
         raise InvalidParameterError("bootstrap needs at least 2 runs")
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(run_scores.size), size=R)
-    reps = weights @ run_scores + offset
+    ones = np.ones(run_scores.size)
+    reps = np.empty(R)
+    for block in blocks(R, run_scores.size):
+        reps[block] = rng.dirichlet(ones, size=block.stop - block.start) @ run_scores
+    reps += offset
     lo, hi = np.quantile(reps, [alpha / 2.0, 1.0 - alpha / 2.0])
     point = run_scores.mean() + offset
     # empirical quantiles can exclude the point estimate in pathological
     # tiny-sample cases; widen so the report invariant always holds
     return float(min(lo, point)), float(max(hi, point)), bool(lo > point or hi < point)
-
-
-# A replicate chunk keeps its (chunk, S) draws near this many elements, so
-# memory stays flat in B.
-_CHUNK_ELEMENTS = 2 ** 17
 
 
 def permutation_test(T, B=1000, seed=0):
@@ -179,12 +179,14 @@ def permutation_test(T, B=1000, seed=0):
     S, K = T.shape
     row_starts = np.arange(0, T.size, K)
     rng = np.random.default_rng(seed)
+    # not sim_model.blocks: rng.integers buffers its draws per call, so
+    # another chunk size would draw other replicates
     chunk = max(1, _CHUNK_ELEMENTS // S)
     permuted = np.empty(B)
     for start in range(0, B, chunk):
         draws = rng.integers(0, K, size=(min(chunk, B - start), S))
-        permuted[start:start + len(draws)] = (
-            T.reshape(-1).take(draws + row_starts).sum(axis=1) / T.size)
+        draws += row_starts
+        permuted[start:start + len(draws)] = T.reshape(-1).take(draws).sum(axis=1) / T.size
     lpd_observed = clf.table_lpd(T)
     p = float(np.sum(permuted >= lpd_observed) / B)
     return TestResult(lpd_observed=lpd_observed, lpd_permuted=permuted,
@@ -215,20 +217,28 @@ def visual_export(model, mapped, coordinate=0):
     """Rows of (coordinate value, Pr(t=1 | phi), label) for a binary model.
 
     One row per row of map_table's result, in order; `coordinate` is as in
-    check_visual.
+    check_visual.  The rows are scored one block at a time.
     """
     column = check_visual(mapped, coordinate)
-    values = mapped.rows.reshape(-1, mapped.rows.shape[-1])[:, column]
-    preds = model.score(mapped.x_nl, mapped.x_lin)
-    return np.column_stack([values, clf.expit(preds, out=preds), mapped.labels])
+    flat = mapped.rows.reshape(-1, mapped.rows.shape[-1])
+    out = np.empty((flat.shape[0], 3))
+    out[:, 0] = flat[:, column]
+    out[:, 2] = 1.0
+    out[::mapped.rows.shape[1], 2] = 0.0   # theta's row of each run
+    for rows in blocks(flat.shape[0], clf.scoring_width(model, flat.shape[1])):
+        preds = model.score(mapped.x_nl[rows], mapped.x_lin[rows])
+        out[rows, 1] = clf.expit(preds, out=preds)
+    return out
 
 
 def write_visual_csv(rows, path):
-    """Write visual_export's rows as CSV, formatting the body in one call."""
+    """Write visual_export's rows as CSV, formatting one block of rows per call."""
     rows = np.asarray(rows, dtype=float)
     with open(path, "w") as fh:
         fh.write("coordinate,prediction,label\n")
-        fh.write(("%.10g,%.10g,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        for block in blocks(len(rows), rows.shape[1]):
+            part = rows[block]
+            fh.write(("%.10g,%.10g,%d\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
 def pipeline_seeds(seed):

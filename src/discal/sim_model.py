@@ -19,6 +19,27 @@ import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Every pass whose temporaries would grow with the runs, rows or replicates
+# it covers works in blocks of about this many elements.
+_CHUNK_ELEMENTS = 2 ** 17
+
+
+def blocks(n, width):
+    """Slices that cover range(n) in order, for items of `width` elements each.
+
+    A block holds _CHUNK_ELEMENTS // width items, rounded down to a
+    multiple of 64 and at least 64, and a trailing single item joins the
+    block before it.  So every block starts at a multiple of 64 items,
+    where single-threaded BLAS splits a blocked product as it splits the
+    whole one, and no block takes numpy's one-row product: a pass over the
+    blocks gives the bits of one pass over all n items.
+    """
+    size = 64 * max(1, _CHUNK_ELEMENTS // (64 * width))
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its admissible range (`row`: a bad run's table position)."""
@@ -284,15 +305,25 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
 
 
 def write_table(table, path):
-    """Write a table as JSONL: header line, then one run per line."""
+    """Write a table as JSONL: header line, then one run per line.
+
+    The runs are converted to Python numbers one block at a time.
+    """
     names = [name for name in ("theta", "y", "draws", "log_p", "log_q")
              if getattr(table, name) is not None]
-    columns = [getattr(table, name).tolist() for name in names]
+    width = sum(math.prod(getattr(table, name).shape[1:]) for name in names)
     with open(path, "w") as fh:
         header = {"d_theta": table.d_theta, "d_y": table.d_y, "M": table.M, "S": table.S}
         fh.write(json.dumps(header) + "\n")
-        for run_id, *values in zip(table.run_ids.tolist(), *columns):
-            fh.write(json.dumps({"run_id": run_id, **dict(zip(names, values))}) + "\n")
+        for runs in blocks(table.S, width):
+            _write_runs(fh, table, names, runs)
+
+
+def _write_runs(fh, table, names, runs):
+    """Write the JSONL lines of the runs at the slice `runs`."""
+    columns = [getattr(table, name)[runs].tolist() for name in names]
+    for run_id, *values in zip(table.run_ids[runs].tolist(), *columns):
+        fh.write(json.dumps({"run_id": run_id, **dict(zip(names, values))}) + "\n")
 
 
 def _json_object(raw, what, lineno):
@@ -319,60 +350,68 @@ def _numbers(value, shape, literal):
 def read_table(path):
     """Parse a JSONL table; schema violations are reported with line numbers.
 
-    Records are written straight into preallocated (S, ...) arrays; blank
-    lines are skipped.  log_p / log_q are on every record or on none.
+    A line ends at the file's newline (\\n, \\r\\n or \\r); blank lines are
+    skipped.  The file is streamed twice: the first pass counts the runs
+    against the header's S, the second writes each record straight into
+    preallocated (S, ...) arrays.  log_p / log_q are on every record or on
+    none.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TableFormatError("empty file", line=1)
-    header = _json_object(lines[0], "header", 1)
-    for key, low in (("d_theta", 1), ("d_y", 1), ("M", 1), ("S", 0)):
-        value = header.get(key)
-        if not (type(value) is int and value >= low):
-            got = json.dumps(value) if key in header else "nothing"
-            raise TableFormatError("header field %r must be an integer >= %d, got %s"
-                                   % (key, low, got), line=1)
-    d_theta, d_y, M, S = (header[k] for k in ("d_theta", "d_y", "M", "S"))
-    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2)
-               if raw.strip()]
-    if len(records) != S:
-        raise TableFormatError("header declares S=%d but found %d runs"
-                               % (S, len(records)), line=1)
-    shapes = {"theta": (d_theta,), "y": (d_y,), "draws": (M, d_theta),
-              "log_p": (M + 1,), "log_q": (M + 1,)}
-    try:
-        out = {name: np.empty((S,) + shape) for name, shape in shapes.items()}
-    except (ValueError, MemoryError) as exc:
-        raise TableFormatError("header sizes too large: %s" % exc, line=1) from exc
-    run_ids = np.empty(S, dtype=np.int64)
-    present = None  # the array fields of the first record
-    for i, (lineno, raw) in enumerate(records):
-        rec = _json_object(raw, "record", lineno)
-        for key in ("run_id", "theta", "y", "draws"):
-            if key not in rec:
-                raise TableFormatError("record missing field %r" % key, line=lineno)
-        rid = rec["run_id"]
-        if not (type(rid) is int and -2**63 <= rid < 2**63):  # bools are not ints here
-            raise TableFormatError("run_id must be a 64-bit integer, got %r" % (rid,),
-                                   line=lineno)
-        run_ids[i] = rid
-        names = [name for name in shapes if name in rec]
-        present = present or names
-        if names != present:
-            raise TableFormatError("run %d has fields %s, the first run %s: log_p and "
-                                   "log_q go on every run or on none"
-                                   % (rid, names, present), line=lineno)
-        for name in names:
-            # checked before assignment, which would broadcast a short row
-            arr = _numbers(rec[name], shapes[name], "true" in raw or "false" in raw)
-            if arr is None:
-                raise TableFormatError("run %d: %s must be numbers of shape %s"
-                                       % (rid, name, shapes[name]), line=lineno)
-            out[name][i] = arr
+        first = fh.readline()
+        if not first:
+            raise TableFormatError("empty file", line=1)
+        header = _json_object(first.rstrip("\n"), "header", 1)
+        for key, low in (("d_theta", 1), ("d_y", 1), ("M", 1), ("S", 0)):
+            value = header.get(key)
+            if not (type(value) is int and value >= low):
+                got = json.dumps(value) if key in header else "nothing"
+                raise TableFormatError("header field %r must be an integer >= %d, got %s"
+                                       % (key, low, got), line=1)
+        d_theta, d_y, M, S = (header[k] for k in ("d_theta", "d_y", "M", "S"))
+        found = sum(1 for raw in fh if raw.strip())
+        if found != S:
+            raise TableFormatError("header declares S=%d but found %d runs"
+                                   % (S, found), line=1)
+        shapes = {"theta": (d_theta,), "y": (d_y,), "draws": (M, d_theta),
+                  "log_p": (M + 1,), "log_q": (M + 1,)}
+        try:
+            out = {name: np.empty((S,) + shape) for name, shape in shapes.items()}
+        except (ValueError, MemoryError) as exc:
+            raise TableFormatError("header sizes too large: %s" % exc, line=1) from exc
+        run_ids = np.empty(S, dtype=np.int64)
+        linenos = np.empty(S, dtype=np.int64)
+        present = None  # the array fields of the first record
+        fh.seek(0)
+        fh.readline()
+        records = ((lineno, raw.rstrip("\n")) for lineno, raw in enumerate(fh, start=2)
+                   if raw.strip())
+        for i, (lineno, raw) in enumerate(records):
+            linenos[i] = lineno
+            rec = _json_object(raw, "record", lineno)
+            for key in ("run_id", "theta", "y", "draws"):
+                if key not in rec:
+                    raise TableFormatError("record missing field %r" % key, line=lineno)
+            rid = rec["run_id"]
+            if not (type(rid) is int and -2**63 <= rid < 2**63):  # bools are not ints here
+                raise TableFormatError("run_id must be a 64-bit integer, got %r" % (rid,),
+                                       line=lineno)
+            run_ids[i] = rid
+            names = [name for name in shapes if name in rec]
+            present = present or names
+            if names != present:
+                raise TableFormatError("run %d has fields %s, the first run %s: log_p and "
+                                       "log_q go on every run or on none"
+                                       % (rid, names, present), line=lineno)
+            for name in names:
+                # checked before assignment, which would broadcast a short row
+                arr = _numbers(rec[name], shapes[name], "true" in raw or "false" in raw)
+                if arr is None:
+                    raise TableFormatError("run %d: %s must be numbers of shape %s"
+                                           % (rid, name, shapes[name]), line=lineno)
+                out[name][i] = arr
     log_p, log_q = (out[n] if n in (present or ()) else None for n in ("log_p", "log_q"))
     try:
         return SimulationTable(out["theta"], out["y"], out["draws"], log_p, log_q, run_ids)
     except InvalidParameterError as exc:
-        line = None if exc.row is None else records[exc.row][0]
+        line = None if exc.row is None else int(linenos[exc.row])
         raise TableFormatError(str(exc), line=line) from exc

@@ -10,6 +10,8 @@ from discal import classifier as clf
 from discal import label_mapping as lm
 from discal import sim_model as sm
 
+import one_shot_reference
+
 
 def make_mapped(kind, d=2, S=8, M=3, bias=0.3, seed=0, features=("log_p", "log_q")):
     c = sm.Corruption(bias=bias)
@@ -597,6 +599,29 @@ def test_train_heap_peak_is_below_the_map_size():
     assert peak - entry < mapped.rows.nbytes
 
 
+def test_train_without_a_hold_out_scores_its_loss_in_run_blocks():
+    # each epoch's loss gathers, standardizes and scores 64 fit runs at a
+    # time, so the heap stays near the map's size; the loss only guards
+    # against divergence there, and the parameters are the reference's
+    import tracemalloc
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=4, S=200, M=100, seed=1)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(8,))
+    settings = clf.TrainSettings(learning_rate=0.01, epochs=2, minibatch_size=1024, seed=3,
+                                 val_fraction=0.0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        model = clf.train(mapped, all_runs(mapped), cfg, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 1.2 * mapped.rows.nbytes
+    ref = reference_train(mapped, cfg, settings)
+    np.testing.assert_array_equal(model.get_params(), ref.get_params())
+    np.testing.assert_array_equal(model.x_mean, ref.x_mean)
+    np.testing.assert_array_equal(model.x_scale, ref.x_scale)
+
+
 def _recording_score(model):
     """Record the row count of every scoring pass of `model`."""
     rows, real = [], model.score
@@ -942,3 +967,25 @@ def test_run_log_probs_is_the_clamped_log_of_the_softmax_bit_for_bit(saturated):
         assert (want == np.log(1.0 - clf.PROB_CLAMP)).any()
     np.testing.assert_array_equal(clf.run_log_probs(model, mapped), want)
     np.testing.assert_array_equal(clf._clamped_log(reference_softmax(scores)), want)
+
+
+@pytest.mark.parametrize("kind, weighted", [(lm.MappingKind.BINARY_FULL, False),
+                                            (lm.MappingKind.BINARY_FULL, True),
+                                            (lm.MappingKind.MULTICLASS, False)],
+                         ids=["binary", "binary-weighted", "multiclass"])
+def test_label_table_in_run_blocks_gives_the_one_shot_bits(monkeypatch, kind, weighted):
+    # 193 runs in blocks of 64: three blocks, the one-run tail joined to
+    # the third; the runs are gathered out of table order.  With K = 3 rows
+    # a run, blocks of 2, 3, 7 or 65 runs change the last bits here
+    mapped = make_mapped(kind, d=2, S=200, M=2, bias=0.5, seed=6)
+    data = clf.arrays_from_batches(mapped, np.random.default_rng(0).permutation(200)[:193])
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(16,)), seed=2)
+    model.set_params(model.get_params()
+                     + np.random.default_rng(3).normal(scale=0.5, size=model.params.size))
+    model.set_standardizer(np.full(mapped.d_nonlinear, 0.2), np.full(mapped.d_nonlinear, 1.5))
+    scheme = clf.balanced_binary(2) if weighted else clf.UNWEIGHTED
+    width = 3 * clf.scoring_width(model, mapped.rows.shape[-1])
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * width)
+    assert [b.stop - b.start for b in sm.blocks(193, width)] == [64, 64, 65]
+    np.testing.assert_array_equal(clf.label_table(model, data, scheme),
+                                  one_shot_reference.label_table(model, data, scheme))

@@ -14,6 +14,8 @@ from discal import diagnostics as dg
 from discal import label_mapping as lm
 from discal import sim_model as sm
 
+import one_shot_reference
+
 
 def make_mapped(bias=0.5, d=1, S=30, M=3, seed=0, kind=lm.MappingKind.BINARY_FULL,
                  features=("log_p", "log_q")):
@@ -100,6 +102,17 @@ def test_bootstrap_ci_flags_a_widened_interval():
     assert widened and hi == 1.0 and lo < 1.0
     lo, hi, widened = dg.bootstrap_ci(scores, R=1000, alpha=0.05)
     assert not widened and lo < 1.0 < hi
+
+
+@pytest.mark.parametrize("S", [2, 1000, 2049])
+@pytest.mark.parametrize("R", [100, 129, 1000, 1025])
+def test_bootstrap_ci_in_blocks_gives_the_one_shot_bits(S, R):
+    # blocks of 65 536, 128 and 64 replicates; R = 1025 and, at S = 2049,
+    # R = 129 leave one replicate after the last full block
+    scores = np.random.default_rng(S).standard_normal(S)
+    for seed, offset in ((R, 0.0), (R + 1, math.log(2.0))):
+        got = dg.bootstrap_ci(scores, R=R, seed=seed, offset=offset)
+        assert got == one_shot_reference.bootstrap_ci(scores, R=R, seed=seed, offset=offset)
 
 
 def test_bootstrap_ci_coverage_with_fixed_model():
@@ -317,6 +330,29 @@ def test_write_visual_csv_matches_the_per_row_format(tmp_path):
     assert path.read_bytes() == expected.encode()
     dg.write_visual_csv(rows[:0], str(path))
     assert path.read_text() == "coordinate,prediction,label\n"
+
+
+@pytest.mark.parametrize("coordinate", [0, "log_q"])
+def test_visual_export_in_blocks_gives_the_one_shot_bits(monkeypatch, tmp_path, coordinate):
+    # 107 runs of K = 3 rows: 321 rows, five blocks of 64 with the last
+    # row joined to the fifth.  A block of one row, or blocks of 2, 3 or 7
+    # rows, change the last bits here
+    mapped = make_mapped(S=107, M=2, seed=5)
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(16,)), seed=1)
+    model.set_params(model.get_params()
+                     + np.random.default_rng(2).normal(scale=0.5, size=model.params.size))
+    width = clf.scoring_width(model, mapped.rows.shape[-1])
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * width)
+    assert [b.stop - b.start for b in sm.blocks(321, width)] == [64, 64, 64, 64, 65]
+    rows = dg.visual_export(model, mapped, coordinate)
+    want = one_shot_reference.visual_export(model, mapped, dg.check_visual(mapped, coordinate))
+    np.testing.assert_array_equal(rows, want)
+    # the CSV is formatted in blocks of 64 rows of three numbers
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * 3)
+    path = tmp_path / "visual.csv"
+    dg.write_visual_csv(rows, str(path))
+    assert path.read_text() == "coordinate,prediction,label\n" + "".join(
+        "%.10g,%.10g,%d\n" % (coord, pred, int(lab)) for coord, pred, lab in want)
 
 
 def test_visual_export_narrow_posterior_is_u_shaped():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from discal import sim_model as sm
+import one_shot_reference
 from gaussian_reference import corrupt, exact_gaussian_posterior, generate_ar1_draws
 
 
@@ -421,6 +422,69 @@ def test_read_table_labels_a_corrupted_record_with_its_line(tmp_path_factory, ca
     with pytest.raises(sm.TableFormatError) as err:
         sm.read_table(str(path))
     assert err.value.line == i + 2, (how, field, str(err.value))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 129, 130, 1025])
+@pytest.mark.parametrize("width", [7, 2049, 10 ** 6])
+def test_blocks_start_on_multiples_of_64_and_never_end_on_one_item(n, width):
+    parts = sm.blocks(n, width)
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+    assert all(part.start % 64 == 0 for part in parts)
+    assert all(part.stop - part.start > 1 for part in parts[1:])
+    size = max(64, sm._CHUNK_ELEMENTS // width // 64 * 64)
+    assert all(part.stop - part.start in (size, size + 1) for part in parts[:-1])
+    if n > 1:
+        assert parts[-1].stop - parts[-1].start > 1
+
+
+@pytest.mark.parametrize("S", [129, 200])
+@pytest.mark.parametrize("densities", [True, False])
+def test_write_table_in_blocks_writes_the_one_shot_bytes(tmp_path, monkeypatch, S, densities):
+    table = sm.generate_gaussian_table(2, S, 3, 1.0, sm.Corruption(bias=0.4), seed=S,
+                                       attach_densities=densities)
+    width = 2 + 2 + 3 * 2 + (8 if densities else 0)
+    # blocks of 64 runs: 129 is two blocks with the one-run tail joined to
+    # the second, 200 is four
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * width)
+    assert len(sm.blocks(S, width)) == {129: 2, 200: 4}[S]
+    sm.write_table(table, tmp_path / "blocked.jsonl")
+    one_shot_reference.write_table(table, tmp_path / "one_shot.jsonl")
+    assert (tmp_path / "blocked.jsonl").read_bytes() == (tmp_path / "one_shot.jsonl").read_bytes()
+
+
+def test_read_table_heap_peak_stays_near_the_arrays(tmp_path):
+    # the file is streamed: no copy of its text or of its lines is held
+    import tracemalloc
+    table = sm.generate_gaussian_table(4, 2000, 100, 1.0, sm.Corruption(bias=0.2), seed=3,
+                                       attach_densities=True)
+    path = tmp_path / "table.jsonl"
+    sm.write_table(table, path)
+    arrays = sum(getattr(table, name).nbytes
+                 for name in ("theta", "y", "draws", "log_p", "log_q", "run_ids"))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        back = sm.read_table(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.draws, table.draws)
+    assert peak - entry <= 1.5 * arrays
+
+
+def test_read_table_ends_a_line_only_at_a_newline(tmp_path):
+    # NEL and the Unicode line and paragraph separators inside a JSON
+    # string stay in their line; \n, \r\n and a lone \r end one
+    header = '{"d_theta":1,"d_y":1,"M":2,"S":2,"note":"a\x85b\u2028c\u2029d"}'
+    path = tmp_path / "table.jsonl"
+    path.write_bytes((header + "\r\n" + REC0 + "\r" + REC1 + "\n").encode())
+    np.testing.assert_array_equal(sm.read_table(str(path)).run_ids, [0, 1])
+    # a form feed is no line break: the record that holds it is malformed
+    for bad in (REC0.replace(",", ",\x0c", 1), REC0 + "\x0c"):
+        path.write_bytes((header + "\r\n" + bad + "\r" + REC1 + "\n").encode())
+        with pytest.raises(sm.TableFormatError, match="invalid JSON") as err:
+            sm.read_table(str(path))
+        assert err.value.line == 2
 
 
 def test_generate_table_invalid_parameters():
