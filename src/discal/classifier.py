@@ -239,10 +239,11 @@ def _softmax(scores):
 class ExampleArrays(lm.MappedTable):
     """Runs gathered from a mapped table into rows of their own.
 
-    A pass may change these rows in place (train standardizes its hold-out
-    rows); map_table's rows are read-only and shared by its run views.
-    gradient gets one per training step: the examples at map positions
-    `index` (whole runs for multiclass), whose rows, standardized, are `block`.
+    A pass may change these rows in place (a scoring pass standardizes the
+    block of runs it gathers); map_table's rows are read-only and shared by
+    its run views.  gradient gets one per training step: the examples at
+    map positions `index` (whole runs for multiclass), whose rows,
+    standardized, are `block`.
     """
 
     block: np.ndarray | None = None
@@ -258,6 +259,35 @@ def arrays_from_batches(mapped, runs):
     runs = np.asarray(runs, dtype=np.intp)
     return ExampleArrays(mapped.rows[runs], mapped.run_ids[runs], mapped.kind,
                          mapped.d_nonlinear, mapped.d_y, mapped.linear_names)
+
+
+@dataclass
+class MappedRuns:
+    """The runs at positions `runs` of a mapped table, scored from the table's own rows.
+
+    label_table gathers them one block at a time (see sim_model.blocks),
+    so no copy of all of them exists.  With a standardizer (shift, spread),
+    arrays that broadcast against a run's (K, F) rows, each gathered block
+    becomes (rows - shift) / spread in place, and the model scores it as it
+    is: train passes tiles with its mean and scale in the nonlinear columns
+    and 0 and 1, which leave them exact, in the linear ones.
+    """
+
+    mapped: lm.MappedTable
+    runs: np.ndarray
+    standardizer: tuple | None = None
+
+    def __len__(self):
+        return len(self.runs)
+
+    def gather(self, part):
+        """The runs at the slice `part` of `runs`, in one gather of rows of their own."""
+        data = arrays_from_batches(self.mapped, self.runs[part])
+        if self.standardizer is not None:
+            shift, spread = self.standardizer
+            data.rows -= shift
+            data.rows /= spread
+        return data
 
 
 def config_for_table(mapped, hidden_sizes=(64, 64), activation="tanh"):
@@ -306,38 +336,32 @@ def run_log_probs(model, data):
 def label_table(model, data, weight_scheme=UNWEIGHTED):
     """(R, K) weighted label log-likelihoods of R whole runs, each run scored once.
 
-    T[s, j] is the sum of the weighted clamped log probabilities of run s's
-    K example labels if occupant j held theta; column 0 holds the observed
-    labels.  With occupant j as theta a binary run's row j has label 0 and
-    every other row label 1, so T[s, j] = sum_k w1 L1[s, k] + (w0 L0[s, j]
+    `data` is a MappedRuns, or a mapped table for all its runs.  T[s, j] is
+    the sum of the weighted clamped log probabilities of run s's K example
+    labels if occupant j held theta; column 0 holds the observed labels.
+    With occupant j as theta a binary run's row j has label 0 and every
+    other row label 1, so T[s, j] = sum_k w1 L1[s, k] + (w0 L0[s, j]
     - w1 L1[s, j]), and rows that score the same give equal columns, bit
     for bit.  All K examples of a multiclass run have the probability that
     theta's occupant holds theta, so T is run_log_probs times the sum of the
-    K labels' weights.  The runs are scored one block at a time (see
-    sim_model.blocks).  A table of zero runs has no LPD and raises.
+    K labels' weights.  The runs are gathered and scored one block at a
+    time (see sim_model.blocks).  A table of zero runs has no LPD and raises.
     """
-    return _blocked_table(model, data.rows.shape, lambda runs: lm.MappedTable(
-        data.rows[runs], data.run_ids[runs], data.kind, data.d_nonlinear, data.d_y,
-        data.linear_names), weight_scheme)
+    if not isinstance(data, MappedRuns):
+        data = MappedRuns(data, np.arange(len(data)))
+    R = len(data)
+    if R == 0:
+        raise InvalidParameterError("cannot score a table of zero runs")
+    K, F = data.mapped.rows.shape[1:]
+    T = np.empty((R, K))
+    for runs in blocks(R, K * scoring_width(model, F)):
+        _score_runs(model, data.gather(runs), weight_scheme, out=T[runs])
+    return T
 
 
 def scoring_width(model, n_features):
     """Elements a scoring pass holds per row: the row and each hidden activation."""
     return n_features + sum(model.config.hidden_sizes)
-
-
-def _blocked_table(model, shape, runs_data, weight_scheme):
-    """label_table of R runs laid out as `shape`, (R, K, F).
-
-    runs_data(runs) gives the runs at the slice `runs` as a table to score.
-    """
-    R, K, F = shape
-    if R == 0:
-        raise InvalidParameterError("cannot score a table of zero runs")
-    T = np.empty((R, K))
-    for runs in blocks(R, K * scoring_width(model, F)):
-        _score_runs(model, runs_data(runs), weight_scheme, out=T[runs])
-    return T
 
 
 def _score_runs(model, data, weight_scheme, out):
@@ -415,6 +439,38 @@ def _backprop(model, cache, x_lin, dout):
 
 # ---- training ---------------------------------------------------------------
 
+def _standardizer(mapped, runs):
+    """numpy's mean and std of the nonlinear columns of the runs at positions `runs`.
+
+    Bit for bit, op for op: the column sums, then the sums of squared
+    deviations from the mean, each over blocks of runs gathered from the
+    map.  numpy sums a column of an (n, d >= 2) array row by row, so adding
+    the running total into the first row of the next block's gather gives
+    the whole sum's bits.  One column it sums pairwise, so there the column
+    is gathered whole.  A zero std gives scale 1.
+    """
+    K, d = mapped.rows.shape[1], mapped.d_nonlinear
+    parts = blocks(runs.size, K * d) if d > 1 else [slice(None)]
+
+    def column_sums(centre):
+        total = None
+        for part in parts:
+            x = mapped.rows[runs[part], :, :d].reshape(-1, d)
+            if centre is not None:
+                x -= centre
+                np.square(x, out=x)
+            if total is not None:
+                x[0] += total
+            total = x.sum(axis=0)
+        return total
+
+    n = runs.size * K
+    mean = column_sums(None) / n
+    scale = np.sqrt(column_sums(mean) / n)
+    scale[scale == 0.0] = 1.0
+    return mean, scale
+
+
 def train(mapped, runs, config, settings):
     """Minibatch training with adaptive moments and early stopping.
 
@@ -427,10 +483,10 @@ def train(mapped, runs, config, settings):
     (val_fraction, floor rule) is held out for early stopping; the returned
     model carries the parameters with the best held-out loss, or the final
     parameters when no hold-out exists.  No copy of the fit runs is kept:
+    the standardizer is summed over blocks of them (see _standardizer),
     each step standardizes in place the rows it gathers from the read-only
-    mapped rows, the hold-out runs are gathered and standardized once (with
-    none, each epoch's loss gathers, standardizes and scores the fit runs
-    one block at a time, as label_table blocks its runs), and the
+    mapped rows, each epoch's loss gathers, standardizes and scores the
+    hold-out runs (with none, the fit runs) one block at a time, and the
     model gets the standardizer after the last step.  A non-finite
     parameter update (from a non-finite gradient or an overflowing step), a
     non-finite second moment or a non-finite epoch loss raises
@@ -447,23 +503,7 @@ def train(mapped, runs, config, settings):
     fit_runs, hold_runs = runs[order[n_hold:]], runs[order[:n_hold]]
     model = Model(config, seed=rng.integers(2**31))
 
-    # numpy's mean and std of the fit runs' nonlinear columns, op for op and bit for bit,
-    # from one gather centred and squared in place and freed before the hold-out gather
-    (K, F), d = mapped.rows.shape[1:], mapped.d_nonlinear
-    x = mapped.rows[fit_runs, :, :d].reshape(fit_runs.size * K, d)
-    mean = x.mean(axis=0)
-    x -= mean
-    scale = np.sqrt(np.square(x, out=x).sum(axis=0) / x.shape[0])
-    scale[scale == 0.0] = 1.0
-    del x
-
-    def standardized(runs):
-        data = arrays_from_batches(mapped, runs)
-        data.x_nl -= mean
-        data.x_nl /= scale
-        return data
-
-    hold_data = standardized(hold_runs) if n_hold else None
+    mean, scale = _standardizer(mapped, fit_runs)
     # the rows are standardized as they are gathered: score takes them as
     # they are until the standardizer is attached after the last step
     model.x_mean = model.x_scale = None
@@ -480,6 +520,7 @@ def train(mapped, runs, config, settings):
     step = 0
     best_loss, best_params = np.inf, None
     stale = 0
+    (K, F), d = mapped.rows.shape[1:], mapped.d_nonlinear
     # the unit of a step: a whole run of K rows for multiclass, a row for
     # binary; row u of fit_rows holds unit u's map positions
     multiclass = mapped.multiclass
@@ -489,10 +530,14 @@ def train(mapped, runs, config, settings):
     per_step = max(1, min(settings.minibatch_size // unit, units))
     flat = mapped.rows.reshape(-1, F)
     layout = (mapped.rows, mapped.run_ids, mapped.kind, d, mapped.d_y, mapped.linear_names)
-    # each step's (n, F) block is standardized whole, faster than its strided
-    # nonlinear columns: the tiles hold 0 and 1 in the linear ones, which is exact
-    shift, spread = np.zeros((per_step * unit, F)), np.ones((per_step * unit, F))
+    # each step's (n, F) block, and each gathered block of runs, is
+    # standardized whole, faster than its strided nonlinear columns: the
+    # tiles hold 0 and 1 in the linear ones, which is exact
+    tile_rows = max(per_step * unit, K)
+    shift, spread = np.zeros((tile_rows, F)), np.ones((tile_rows, F))
     shift[:, :d], spread[:, :d] = mean, scale
+    # each epoch's loss: the hold-out runs, or without any the fit runs
+    checked = MappedRuns(mapped, hold_runs if n_hold else fit_runs, (shift[:K], spread[:K]))
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
         perm = rng.permutation(units)
@@ -523,14 +568,10 @@ def train(mapped, runs, config, settings):
             if not np.isfinite(scratch).all():
                 raise TrainingDivergedError(epoch)
             params -= step_size
-        if hold_data is not None:
-            check = loss(model, hold_data, scheme)
-        else:
-            check = -table_lpd(_blocked_table(model, (fit_runs.size, K, F),
-                                              lambda part: standardized(fit_runs[part]), scheme))
+        check = loss(model, checked, scheme)
         if not np.isfinite(check):
             raise TrainingDivergedError(epoch)
-        if hold_data is not None:
+        if n_hold:
             if check < best_loss - 1e-12:
                 best_loss, best_params = check, model.get_params()
                 stale = 0

@@ -11,15 +11,16 @@ Jensen-Shannon divergence.
 A diagnosis maps its table once: run_pipeline maps it and hands the map
 to diagnose_mapped, which `discal diagnose` calls with its own map so that
 the --visual export reads the same rows.  The run is the scoring unit, and
-the validation runs are scored once: the LPD, its bootstrap and the
-permutation test all read one (R, K) table of whole runs,
-clf.label_table: the LPD is its column 0 over the R*K examples, the
-Bayesian bootstrap resamples the per-run means of that column, and the
-permutation test gathers its replicates from the other columns.  The
-test's exchangeable unit is which of a run's K = M+1 occupants holds
-theta: under calibration theta and the M draws are exchangeable given y,
-so each replicate redraws it per run.  That keeps the p-value exact at any
-sample size for IID draws, under every mapping.  It reports
+the validation runs are scored once, one block at a time straight from
+the map: the LPD, its bootstrap and the permutation test all read one
+(R, K) table of whole runs, clf.label_table: the LPD is its column 0 over
+the R*K examples, the Bayesian bootstrap resamples the per-run means of
+that column, and the permutation test gathers its replicates from the
+other columns.  The test's exchangeable unit is which of a run's K = M+1
+occupants holds theta: under calibration theta and the M draws are
+exchangeable given y, so each replicate redraws it per run.  That keeps
+the p-value exact at any sample size for IID draws, under every mapping.
+It reports
 p = #{b : LPD_b >= observed LPD} / B and gathers its B replicates in
 bounded chunks, with no loop over B.
 """
@@ -306,13 +307,12 @@ def diagnose_mapped(mapped, model_cfg=None, settings=None, B=1000, R=1000, alpha
     except Exception as exc:
         raise PipelineError("train", exc) from exc
     try:
-        val_data = clf.arrays_from_batches(mapped, val_runs)
-        T = clf.label_table(model, val_data, settings.weight_scheme)
+        T = clf.label_table(model, clf.MappedRuns(mapped, val_runs), settings.weight_scheme)
         lpd, run_scores = lpd_val(T)
         # label frequencies follow from the layout: one theta row of K per
         # binary run, each of the K labels once per multiclass run
-        K = val_data.rows.shape[1]
-        class_weights = (np.full(K, 1.0 / K) if val_data.multiclass
+        K = T.shape[1]
+        class_weights = (np.full(K, 1.0 / K) if mapped.multiclass
                          else np.array([1.0, K - 1.0]) / K)
         report = divergence_estimate(lpd, settings.weight_scheme, class_weights,
                                      n_val_examples=run_scores.size * K)

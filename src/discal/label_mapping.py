@@ -88,9 +88,9 @@ class MappedTable:
     Multiclass example k (label k) is all K rows of its run with theta in
     slot k and the draws in order around it (rows[s][_cyclic_insertion(K)[k]]).
     Example s*K + k is row k, or example k, of run s.  `index` selects
-    examples by that position (a binary minibatch); None means all of them,
-    in order.  x_nl and x_lin are the column views of the flattened rows.
-    Iterating yields one Run per run.
+    examples by that position (a training step's labels and run ids); None
+    means all of them, in order.  x_nl and x_lin are the column views of
+    the flattened rows.  Iterating yields one Run per run.
     """
 
     rows: np.ndarray
@@ -142,15 +142,12 @@ class MappedTable:
         return map(Run, self.run_ids.tolist(), itertools.repeat(labels), self.rows)
 
     def scored_rows(self):
-        """(x_nl, x_lin): the rows one scoring pass reads.
+        """(x_nl, x_lin): the rows one scoring pass reads, all of them, run by run.
 
-        Each example's own row, in example order, for binary examples; all
-        rows, run by run, for whole multiclass runs.
+        A pass over a subset of examples gets its own rows (see
+        classifier.ExampleArrays.block).
         """
-        if self.index is None:
-            return self.x_nl, self.x_lin
-        block = self.rows.reshape(-1, self.rows.shape[-1]).take(self.index, axis=0)
-        return block[:, :self.d_nonlinear], block[:, self.d_nonlinear:]
+        return self.x_nl, self.x_lin
 
 
 def _selected(d_theta, cfg):
@@ -194,21 +191,34 @@ def _jittered_ranks_all(values, seed):
     """
     ranks = _ranks_all(values)
     v = np.sort(values, axis=-1)
-    slack = 2 * JITTER_SCALE + 4 * np.spacing(np.abs(v).max(axis=-1, keepdims=True))
+    slack = _jitter_slack(v)
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, which counts as close
         gaps = np.diff(v, axis=-1)
     close = np.flatnonzero(~np.all(gaps > slack, axis=(1, 2)))
     if close.size:
-        root = np.random.SeedSequence(seed)
-        jitter = np.empty((close.size,) + values.shape[1:])
-        for j, i in enumerate(close):
-            # the i-th child of root.spawn(S), built directly
-            child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (int(i),),
-                                           pool_size=root.pool_size)
-            jitter[j] = np.random.default_rng(child).uniform(0.0, JITTER_SCALE,
-                                                             values.shape[1:])
-        ranks[close] = _ranks_all(values[close] + jitter)
+        ranks[close] = _ranks_all(values[close] + _run_jitter(seed, close, values.shape[1:]))
     return ranks
+
+
+def _jitter_slack(values):
+    """How far apart two of a run's values (..., K) must be for no jitter to reorder them."""
+    return 2 * JITTER_SCALE + 4 * np.spacing(np.abs(values).max(axis=-1, keepdims=True))
+
+
+def _run_jitter(seed, runs, shape):
+    """The tie-breaking jitter of the runs at positions `runs`: one `shape` draw per run.
+
+    Run i draws uniform(0, JITTER_SCALE, shape) from the i-th substream of
+    SeedSequence(seed).spawn(S), whatever S is.
+    """
+    root = np.random.SeedSequence(seed)
+    jitter = np.empty((len(runs),) + tuple(shape))
+    for j, i in enumerate(runs):
+        # the i-th child of root.spawn(S), built directly
+        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (int(i),),
+                                       pool_size=root.pool_size)
+        jitter[j] = np.random.default_rng(child).uniform(0.0, JITTER_SCALE, shape)
+    return jitter
 
 
 def _cyclic_insertion(K):

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .label_mapping import _jittered_ranks_all
+from .label_mapping import _jittered_ranks_all, _jitter_slack, _run_jitter
 from .sim_model import InvalidParameterError
 
 ENUMERATION_BUDGET = 10**7
@@ -374,8 +374,23 @@ def _jittered_ranks(table, coordinate, seed):
 
 
 def sbc_ranks(table, coordinate=0, seed=0):
-    """Rank of theta among the draws, per run, with jitter tie-breaking."""
-    return _jittered_ranks(table, coordinate, seed)[:, 0]
+    """Rank of theta among the draws, per run, with jitter tie-breaking.
+
+    Column 0 of _jittered_ranks, from theta alone: theta's stable rank is
+    the number of draws >= theta, and only a run with a draw within the
+    jitter's slack of theta (see label_mapping._jittered_ranks_all) counts
+    its draws after adding the run's jitter.
+    """
+    theta = table.theta[:, coordinate, None]
+    draws = table.draws[:, :, coordinate]
+    slack = _jitter_slack(np.maximum(np.abs(draws).max(axis=1, keepdims=True), np.abs(theta)))
+    close = np.flatnonzero((np.abs(draws - theta) <= slack).any(axis=1))
+    ranks = np.count_nonzero(draws >= theta, axis=1)
+    if close.size:
+        jittered = np.concatenate([theta[close], draws[close]], axis=1)
+        jittered += _run_jitter(seed, close, (1, table.M + 1))[:, 0]
+        ranks[close] = np.count_nonzero(jittered[:, 1:] >= jittered[:, :1], axis=1)
+    return ranks
 
 
 def _chi2_sf(df, x):

@@ -228,8 +228,8 @@ def _ar1_in_place(x, mean, rho):
     return x
 
 
-def _isotropic_logpdf(x, mean, sd):
-    """log N(x; mean, sd^2 I) over the last axis of x (S, K, d); mean is (S, d).
+def _isotropic_logpdf(x, mean, sd, out):
+    """log N(x; mean, sd^2 I) over the last axis of x (S, K, d) into out (S, K); mean is (S, d).
 
     Matches GaussianPosterior.logpdf bit for bit: the residual is scaled by
     1/sd, as a triangular solve with a diagonal factor does, and the squares
@@ -240,7 +240,9 @@ def _isotropic_logpdf(x, mean, sd):
     r = np.subtract(x, mean[:, None, :])
     r *= 1.0 / sd
     r *= r
-    return -0.5 * r.sum(axis=-1) - logdet - 0.5 * d * LOG_2PI
+    np.multiply(r.sum(axis=-1), -0.5, out=out)
+    out -= logdet
+    out -= 0.5 * d * LOG_2PI
 
 
 def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rho=0.0):
@@ -260,7 +262,8 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     innovations); the arithmetic is batched over runs and gives the same
     bits as building each run's GaussianPosterior pair and chain on its
     own (the per-run reference in the tests).  The table's theta and draws
-    are views into one (S, M+2, d) buffer.
+    are views into one (S, M+2, d) buffer, and the log densities are
+    written one block of runs at a time into their (S, M+1) arrays.
     """
     if d < 1 or S < 1 or M < 1:
         raise InvalidParameterError("d, S, M must all be >= 1")
@@ -297,8 +300,11 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
 
     log_p = log_q = None
     if attach_densities:
-        log_p = _isotropic_logpdf(occupants, mean_p, sd_p)
-        log_q = _isotropic_logpdf(occupants, mean_q, sd_q)
+        # one block of runs at a time: the residuals are (runs, M+1, d)
+        log_p, log_q = np.empty((S, M + 1)), np.empty((S, M + 1))
+        for runs in blocks(S, (M + 1) * d):
+            _isotropic_logpdf(occupants[runs], mean_p[runs], sd_p, log_p[runs])
+            _isotropic_logpdf(occupants[runs], mean_q[runs], sd_q, log_q[runs])
     prov = ("gaussian d=%d S=%d M=%d sigma2=%g bias=%g scale=%g rho=%g seed=%d"
             % (d, S, M, sigma2, c.bias, c.variance_scale, rho, seed))
     return SimulationTable(occupants[:, 0], y, draws, log_p, log_q, provenance=prov)
@@ -307,11 +313,13 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
 def write_table(table, path):
     """Write a table as JSONL: header line, then one run per line.
 
-    The runs are converted to Python numbers one block at a time.
+    The runs are converted to Python numbers one block at a time.  A
+    number costs about 32 bytes there (its float object and list slot),
+    four times a float64, so a run counts four times its elements.
     """
     names = [name for name in ("theta", "y", "draws", "log_p", "log_q")
              if getattr(table, name) is not None]
-    width = sum(math.prod(getattr(table, name).shape[1:]) for name in names)
+    width = 4 * sum(math.prod(getattr(table, name).shape[1:]) for name in names)
     with open(path, "w") as fh:
         header = {"d_theta": table.d_theta, "d_y": table.d_y, "M": table.M, "S": table.S}
         fh.write(json.dumps(header) + "\n")

@@ -6,10 +6,12 @@ require the same bits.
 """
 
 import json
+import math
 
 import numpy as np
 
 from discal import classifier as clf
+from discal import sim_model as sm
 
 
 def bootstrap_ci(run_scores, R=1000, alpha=0.05, seed=0, offset=0.0):
@@ -33,6 +35,44 @@ def label_table(model, data, weight_scheme=clf.UNWEIGHTED):
     T = np.subtract(L[:, :, 0], L[:, :, 1])
     T += L[:, :, 1].sum(axis=1, keepdims=True)
     return T
+
+
+def scored_runs(model, mapped, runs, standardizer=None, weight_scheme=clf.UNWEIGHTED):
+    """label_table of the runs at positions `runs`, gathered (and standardized) in one copy."""
+    data = clf.arrays_from_batches(mapped, runs)
+    if standardizer is not None:
+        data.x_nl -= standardizer[0]
+        data.x_nl /= standardizer[1]
+    return label_table(model, data, weight_scheme)
+
+
+def standardizer(mapped, runs):
+    """numpy's mean and std of the runs' nonlinear columns, from one gather of them."""
+    K, d = mapped.rows.shape[1], mapped.d_nonlinear
+    x = mapped.rows[runs, :, :d].reshape(len(runs) * K, d)
+    mean = x.mean(axis=0)
+    x -= mean
+    scale = np.sqrt(np.square(x, out=x).sum(axis=0) / x.shape[0])
+    scale[scale == 0.0] = 1.0
+    return mean, scale
+
+
+def gaussian_log_densities(table, sigma2, c):
+    """generate_gaussian_table's (log_p, log_q), each from one (S, M+1, d) residual."""
+    shrink = 1.0 / (1.0 + sigma2)
+    var_p = sigma2 * shrink
+    occupants = np.concatenate([table.theta[:, None], table.draws], axis=1)
+    mean_p = table.y * shrink
+    out = []
+    for mean, sd in ((mean_p, math.sqrt(var_p)),
+                     (mean_p + c.bias, math.sqrt(c.variance_scale * var_p))):
+        d = occupants.shape[-1]
+        r = np.subtract(occupants, mean[:, None, :])
+        r *= 1.0 / sd
+        r *= r
+        out.append(-0.5 * r.sum(axis=-1) - np.sum(np.log(np.full(d, sd)))
+                   - 0.5 * d * sm.LOG_2PI)
+    return tuple(out)
 
 
 def visual_export(model, mapped, column):

@@ -583,10 +583,13 @@ def test_train_standardizer_is_numpys_mean_and_std_of_the_fit_runs(kind, d):
 
 
 def test_train_heap_peak_is_below_the_map_size():
-    # train keeps no copy of its fit runs: the standardizer's gather, the
-    # hold-out copy and each step's rows stay below the map's own size
+    # train keeps no copy of its fit or hold-out runs: the standardizer's
+    # sums, each epoch's loss and each step read the map one block at a
+    # time, and what grows with S is two int64 indexes of the fit rows (0.2
+    # of the map here).  Gathering the standardizer's rows whole and
+    # copying the hold-out read 0.65 of the map at S = 1000.
     import tracemalloc
-    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=4, S=200, M=100, seed=1)
+    mapped = make_mapped(lm.MappingKind.BINARY_FULL, d=4, S=1000, M=100, seed=1)
     cfg = clf.config_for_table(mapped, hidden_sizes=(8,))
     settings = clf.TrainSettings(learning_rate=0.01, epochs=2, minibatch_size=1024, seed=3)
     tracemalloc.start()
@@ -596,7 +599,81 @@ def test_train_heap_peak_is_below_the_map_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry < mapped.rows.nbytes
+    assert peak - entry < 0.45 * mapped.rows.nbytes
+
+
+MAPPINGS = [(lm.MappingKind.BINARY_FULL, 2), (lm.MappingKind.BINARY_NO_Y, 1),
+            (lm.MappingKind.BINARY_NO_Y, 3), (lm.MappingKind.BINARY_RANK, 1),
+            (lm.MappingKind.MULTICLASS, 1), (lm.MappingKind.MULTICLASS, 2)]
+MAPPING_IDS = ["binary", "binary-noy-d1", "binary-noy-d3", "rank", "multiclass-d1",
+               "multiclass-d2"]
+
+
+@pytest.mark.parametrize("kind, d", MAPPINGS, ids=MAPPING_IDS)
+def test_standardizer_in_run_blocks_gives_the_one_gather_bits(monkeypatch, kind, d):
+    # 250 of 300 runs, out of table order, in blocks of 64 runs; one
+    # nonlinear column (binary-noy at d = 1, rank) is summed pairwise from
+    # one gather of 1000 > 128 rows
+    mapped = make_mapped(kind, d=d, S=300, M=3, bias=0.5, seed=4)
+    runs = np.random.default_rng(1).permutation(300)[:250]
+    K, d_nl = 4, mapped.d_nonlinear
+    want = one_shot_reference.standardizer(mapped, runs)
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * K * d_nl)
+    assert len(sm.blocks(250, K * d_nl)) == 4
+    mean, scale = clf._standardizer(mapped, runs)
+    np.testing.assert_array_equal(mean, want[0])
+    np.testing.assert_array_equal(scale, want[1])
+
+
+@pytest.mark.parametrize("kind, d", MAPPINGS, ids=MAPPING_IDS)
+def test_train_in_small_blocks_gives_the_same_model(monkeypatch, kind, d):
+    # the standardizer, the steps and each epoch's hold-out loss over many
+    # small blocks give the parameters and standardizer of the default blocks
+    mapped = make_mapped(kind, d=d, S=300, M=3, bias=0.5, seed=4)
+    cfg = clf.config_for_table(mapped, hidden_sizes=(16,))
+    settings = clf.TrainSettings(learning_rate=0.05, epochs=4, minibatch_size=64, seed=2,
+                                 patience=1, val_fraction=0.5)
+    want = clf.train(mapped, all_runs(mapped), cfg, settings)
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64)
+    got = clf.train(mapped, all_runs(mapped), cfg, settings)
+    np.testing.assert_array_equal(got.get_params(), want.get_params())
+    np.testing.assert_array_equal(got.x_mean, want.x_mean)
+    np.testing.assert_array_equal(got.x_scale, want.x_scale)
+
+
+@pytest.mark.parametrize("held_out", [True, False], ids=["hold-out", "validation"])
+@pytest.mark.parametrize("kind, d", MAPPINGS, ids=MAPPING_IDS)
+def test_mapped_runs_score_in_blocks_with_the_one_gather_bits(monkeypatch, kind, d, held_out):
+    # 193 runs out of table order, gathered from the map in blocks of 64
+    # (the one-run tail joined to the third); a hold-out block is
+    # standardized whole in place and its strided nonlinear columns scored
+    # as they are, a validation block by a model that carries the
+    # standardizer; the reference standardizes the columns of one copy
+    mapped = make_mapped(kind, d=d, S=200, M=2, bias=0.5, seed=6)
+    runs = np.random.default_rng(0).permutation(200)[:193]
+    model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(16,)), seed=2)
+    model.set_params(model.get_params()
+                     + np.random.default_rng(3).normal(scale=0.5, size=model.params.size))
+    standardizer = one_shot_reference.standardizer(mapped, runs)
+    if held_out:
+        # train's tiles: the mean and scale over the nonlinear columns of
+        # a run's K rows, 0 and 1 over the linear ones
+        model.x_mean = model.x_scale = None
+        shift, spread = np.zeros(mapped.rows.shape[1:]), np.ones(mapped.rows.shape[1:])
+        shift[:, :mapped.d_nonlinear], spread[:, :mapped.d_nonlinear] = standardizer
+        data = clf.MappedRuns(mapped, runs, (shift, spread))
+        want_from = standardizer
+    else:
+        model.set_standardizer(*standardizer)
+        data = clf.MappedRuns(mapped, runs)
+        want_from = None
+    scheme = clf.UNWEIGHTED if mapped.multiclass else clf.balanced_binary(2)
+    want = one_shot_reference.scored_runs(model, mapped, runs, want_from, scheme)
+    width = 3 * clf.scoring_width(model, mapped.rows.shape[-1])
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * width)
+    assert [b.stop - b.start for b in sm.blocks(193, width)] == [64, 64, 65]
+    np.testing.assert_array_equal(clf.label_table(model, data, scheme), want)
+    assert clf.loss(model, data, scheme) == -clf.table_lpd(want)
 
 
 def test_train_without_a_hold_out_scores_its_loss_in_run_blocks():

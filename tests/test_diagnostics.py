@@ -572,6 +572,34 @@ def test_run_pipeline_scores_the_validation_runs_once(name, monkeypatch):
     assert rep.lpd_val == -clf.loss(model, val_data, settings.weight_scheme)
 
 
+def test_run_pipeline_heap_peak_is_the_map_plus_a_fixed_allowance():
+    # the map is the only array of the diagnosis that grows with the table:
+    # the standardizer, every hold-out loss and the validation table read
+    # it one block at a time.  The allowance holds a few blocks of
+    # sim_model._CHUNK_ELEMENTS float64s (1 MB each), a step's rows and
+    # train's two int64 indexes of the 129 280 fit rows (2 MB); the
+    # standardizer's one gather alone held 8.3 MB, and the hold-out and
+    # validation copies 2.6 and 3.2 MB more
+    import tracemalloc
+    table = sm.generate_gaussian_table(4, 2000, 100, 1.0, sm.Corruption(variance_scale=1.2),
+                                       seed=1, attach_densities=True)
+    settings = clf.TrainSettings(learning_rate=0.01, epochs=2, minibatch_size=1024,
+                                 patience=3, seed=2, weight_scheme=clf.balanced_binary(100))
+    model_cfg = clf.ModelConfig(clf.ARCH_BINARY, input_dim=8, hidden_sizes=(8,),
+                                n_linear_features=2)
+    cfg = lm.FeatureConfig(linear_features=("log_p", "log_q"))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        dg.run_pipeline(table, lm.MappingKind.BINARY_FULL, cfg, model_cfg=model_cfg,
+                        settings=settings, B=100, R=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    map_bytes = 2000 * 101 * 10 * 8
+    assert peak - entry <= map_bytes + 5 * 2**20
+
+
 def test_run_pipeline_stage_errors():
     c = sm.Corruption()
     t = sm.generate_gaussian_table(2, 20, 3, 1.0, c, seed=0)

@@ -232,6 +232,26 @@ def test_sbc_ranks_range_and_determinism():
     assert r1.min() >= 0 and r1.max() <= 5
 
 
+def test_sbc_ranks_are_column_0_of_the_jittered_ranks():
+    # theta's rank alone: the draws >= theta, after the run's jitter only
+    # where a draw lies within its slack; on power-sweep's table, an
+    # integer table full of exact ties, and near ties inside the slack
+    power = sm.generate_gaussian_table(4, 1000, 100, 1.0, sm.Corruption(variance_scale=1.2),
+                                       seed=3, attach_densities=True)
+    rng = np.random.default_rng(0)
+    theta = rng.integers(-2, 3, size=(500, 2)).astype(float)
+    draws = rng.integers(-2, 3, size=(500, 20, 2)).astype(float)
+    ties = sm.SimulationTable(theta, np.zeros((500, 1)), draws)
+    near = sm.SimulationTable(theta, np.zeros((500, 1)),
+                              draws + rng.uniform(-3e-10, 3e-10, size=draws.shape))
+    for table in (power, ties, near):
+        for j in range(table.d_theta):
+            for seed in (0, 7):
+                np.testing.assert_array_equal(oracle.sbc_ranks(table, j, seed),
+                                              oracle._jittered_ranks(table, j, seed)[:, 0])
+    assert (ties.draws[:, :, 0] == ties.theta[:, None, 0]).any(axis=1).mean() > 0.9
+
+
 def test_sbc_rank_test_null_and_power():
     null = sm.generate_gaussian_table(2, 600, 9, 1.0, sm.Corruption(), seed=4)
     pvals, reject = oracle.sbc_rank_test(null, alpha=0.05, seed=0)
@@ -251,7 +271,7 @@ def _no_ranking(*args, **kwargs):
 def test_sbc_rank_test_rejects_a_table_without_runs(monkeypatch):
     # zero runs have no rank histogram: no p-value, rather than p = nan
     empty = sm.generate_gaussian_table(2, 5, 4, 1.0, sm.Corruption(), seed=0).take(slice(0, 0))
-    monkeypatch.setattr(oracle, "_jittered_ranks", _no_ranking)
+    monkeypatch.setattr(oracle, "sbc_ranks", _no_ranking)
     with pytest.raises(sm.InvalidParameterError, match="^SBC needs at least one run$"):
         oracle.sbc_rank_test(empty)
 
@@ -260,7 +280,7 @@ def test_sbc_rank_test_rejects_a_table_without_runs(monkeypatch):
 def test_sbc_rank_test_rejects_alpha_outside_the_unit_interval(monkeypatch, alpha):
     # alpha = 1.5 would reject every table and -0.1 none
     t = sm.generate_gaussian_table(1, 50, 5, 1.0, sm.Corruption(), seed=0)
-    monkeypatch.setattr(oracle, "_jittered_ranks", _no_ranking)
+    monkeypatch.setattr(oracle, "sbc_ranks", _no_ranking)
     with pytest.raises(sm.InvalidParameterError, match=r"alpha must be in \(0, 1\)"):
         oracle.sbc_rank_test(t, alpha=alpha)
 

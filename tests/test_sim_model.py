@@ -452,6 +452,21 @@ def test_write_table_in_blocks_writes_the_one_shot_bytes(tmp_path, monkeypatch, 
     assert (tmp_path / "blocked.jsonl").read_bytes() == (tmp_path / "one_shot.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+def test_log_densities_in_run_blocks_give_the_one_shot_bits(monkeypatch, d, rho):
+    # blocks of 64 runs: 200 runs are four blocks; d = 9 sums each point's
+    # squares with numpy's unrolled pairwise loop
+    c, M = sm.Corruption(bias=0.3, variance_scale=1.7), 6
+    monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * (M + 1) * d)
+    assert len(sm.blocks(200, (M + 1) * d)) == 4
+    table = sm.generate_gaussian_table(d, 200, M, 0.8, c, seed=d, attach_densities=True,
+                                       rho=rho)
+    log_p, log_q = one_shot_reference.gaussian_log_densities(table, 0.8, c)
+    np.testing.assert_array_equal(table.log_p, log_p)
+    np.testing.assert_array_equal(table.log_q, log_q)
+
+
 def test_read_table_heap_peak_stays_near_the_arrays(tmp_path):
     # the file is streamed: no copy of its text or of its lines is held
     import tracemalloc
