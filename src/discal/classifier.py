@@ -6,9 +6,11 @@ Two architectures:
   separable_multiclass  Pr(t=k | slots) = softmax_k(g(slot_k)),
                         g(slot) = MLP(x_slot) + w.l_slot with shared params
 
-where x is the nonlinear feature block (standardized using training
-statistics) and l the trailing linear features (log densities / ranks, not
-standardized -- their scale is meaningful).  The separable form is exactly
+where x is the nonlinear feature block and l the trailing linear features
+(log densities / ranks, not standardized -- their scale is meaningful).
+Every pass that scores gathers rows of its own from the map, standardizes
+their x in place with training statistics (Model.standardize) and scores
+them (Model.score).  The separable form is exactly
 permutation-equivariant over slots, which keeps the divergence estimate on
 autocorrelated draws valid without thinning; the permutation p-value is
 not valid there (a chain is not exchangeable with an independent theta).
@@ -29,6 +31,9 @@ from . import label_mapping as lm
 from .sim_model import InvalidParameterError, blocks
 
 PROB_CLAMP = 1e-12
+
+# Model.standardize works through a block this many rows at a time
+STANDARDIZE_ROWS = 1024
 
 ARCH_BINARY = "binary"
 ARCH_MULTICLASS = "separable_multiclass"
@@ -138,8 +143,9 @@ class Model:
 
     The weights, biases and w_linear are views into one flat buffer,
     `params`, in get_params() order, so an optimizer can update them all in
-    place.  x_mean and x_scale are None only inside train, which standardizes
-    the rows it gathers; score then takes the nonlinear block as it is.
+    place.  The standardizer (x_mean, x_scale) is the identity until
+    set_standardizer; standardize applies it to gathered rows in place, and
+    score takes the rows it is given as standardized.
     """
 
     def __init__(self, config, seed=0):
@@ -158,8 +164,7 @@ class Model:
             W[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         bound = 1.0 / np.sqrt(max(nlin, 1))
         self.w_linear[...] = rng.uniform(-bound, bound, size=nlin)
-        self.x_mean = np.zeros(config.input_dim)
-        self.x_scale = np.ones(config.input_dim)
+        self.set_standardizer(np.zeros(config.input_dim), np.ones(config.input_dim))
 
     def layout(self, flat):
         """(weights, biases, w_linear): views of a flat vector laid out like params."""
@@ -180,8 +185,25 @@ class Model:
         self.params[...] = flat.ravel()
 
     def set_standardizer(self, mean, scale):
+        """Standardize the nonlinear columns by (x - mean) / scale from now on.
+
+        Whole rows are faster than strided columns: the tiles hold 0 and 1,
+        which leave a value exact, in the linear columns.
+        """
         self.x_mean = np.asarray(mean, dtype=float)
         self.x_scale = np.asarray(scale, dtype=float)
+        d, F = self.config.input_dim, self.config.input_dim + self.config.n_linear_features
+        self._shift, self._spread = np.zeros((STANDARDIZE_ROWS, F)), np.ones((STANDARDIZE_ROWS, F))
+        self._shift[:, :d], self._spread[:, :d] = self.x_mean, self.x_scale
+
+    def standardize(self, rows):
+        """Standardize a gathered (..., F) block in place, one tile of rows at a time."""
+        flat = rows.reshape(-1, rows.shape[-1])
+        for start in range(0, len(flat), STANDARDIZE_ROWS):
+            x = flat[start:start + STANDARDIZE_ROWS]
+            x -= self._shift[:len(x)]
+            x /= self._spread[:len(x)]
+        return rows
 
     # ---- forward ------------------------------------------------------------
 
@@ -203,10 +225,7 @@ class Model:
         return (out, cache) if keep_cache else out
 
     def score(self, x_nl, x_lin, keep_cache=False):
-        """Scores of rows (x_nl, x_lin), in a fresh array; the rows are only read."""
-        if self.x_mean is not None:
-            x_nl = x_nl - self.x_mean
-            x_nl /= self.x_scale
+        """Scores of standardized rows (x_nl, x_lin), in a fresh array; the rows are only read."""
         forward = self._mlp_forward(x_nl, keep_cache)
         out = forward[0] if keep_cache else forward
         out += x_lin @ self.w_linear
@@ -239,11 +258,10 @@ def _softmax(scores):
 class ExampleArrays(lm.MappedTable):
     """Runs gathered from a mapped table into rows of their own.
 
-    A pass may change these rows in place (a scoring pass standardizes the
-    block of runs it gathers); map_table's rows are read-only and shared by
-    its run views.  gradient gets one per training step: the examples at
-    map positions `index` (whole runs for multiclass), whose rows,
-    standardized, are `block`.
+    A pass may change these rows in place (Model.standardize); map_table's
+    rows are read-only and shared by its run views.  gradient gets one per
+    training step: the examples at map positions `index` (whole runs for
+    multiclass), whose rows, standardized, are `block`.
     """
 
     block: np.ndarray | None = None
@@ -259,35 +277,6 @@ def arrays_from_batches(mapped, runs):
     runs = np.asarray(runs, dtype=np.intp)
     return ExampleArrays(mapped.rows[runs], mapped.run_ids[runs], mapped.kind,
                          mapped.d_nonlinear, mapped.d_y, mapped.linear_names)
-
-
-@dataclass
-class MappedRuns:
-    """The runs at positions `runs` of a mapped table, scored from the table's own rows.
-
-    label_table gathers them one block at a time (see sim_model.blocks),
-    so no copy of all of them exists.  With a standardizer (shift, spread),
-    arrays that broadcast against a run's (K, F) rows, each gathered block
-    becomes (rows - shift) / spread in place, and the model scores it as it
-    is: train passes tiles with its mean and scale in the nonlinear columns
-    and 0 and 1, which leave them exact, in the linear ones.
-    """
-
-    mapped: lm.MappedTable
-    runs: np.ndarray
-    standardizer: tuple | None = None
-
-    def __len__(self):
-        return len(self.runs)
-
-    def gather(self, part):
-        """The runs at the slice `part` of `runs`, in one gather of rows of their own."""
-        data = arrays_from_batches(self.mapped, self.runs[part])
-        if self.standardizer is not None:
-            shift, spread = self.standardizer
-            data.rows -= shift
-            data.rows /= spread
-        return data
 
 
 def config_for_table(mapped, hidden_sizes=(64, 64), activation="tanh"):
@@ -333,10 +322,11 @@ def run_log_probs(model, data):
     return _clamped_log(_softmax(occupant_scores))
 
 
-def label_table(model, data, weight_scheme=UNWEIGHTED):
+def label_table(model, mapped, weight_scheme=UNWEIGHTED, runs=None):
     """(R, K) weighted label log-likelihoods of R whole runs, each run scored once.
 
-    `data` is a MappedRuns, or a mapped table for all its runs.  T[s, j] is
+    The runs are those at positions `runs` of a mapped table, in that
+    order, or all of its runs.  T[s, j] is
     the sum of the weighted clamped log probabilities of run s's K example
     labels if occupant j held theta; column 0 holds the observed labels.
     With occupant j as theta a binary run's row j has label 0 and every
@@ -344,18 +334,19 @@ def label_table(model, data, weight_scheme=UNWEIGHTED):
     - w1 L1[s, j]), and rows that score the same give equal columns, bit
     for bit.  All K examples of a multiclass run have the probability that
     theta's occupant holds theta, so T is run_log_probs times the sum of the
-    K labels' weights.  The runs are gathered and scored one block at a
-    time (see sim_model.blocks).  A table of zero runs has no LPD and raises.
+    K labels' weights.  The runs are gathered, standardized and scored one
+    block at a time (see sim_model.blocks), so no copy of all of them
+    exists.  A table of zero runs has no LPD and raises.
     """
-    if not isinstance(data, MappedRuns):
-        data = MappedRuns(data, np.arange(len(data)))
-    R = len(data)
-    if R == 0:
+    runs = np.arange(len(mapped)) if runs is None else np.asarray(runs)
+    if runs.size == 0:
         raise InvalidParameterError("cannot score a table of zero runs")
-    K, F = data.mapped.rows.shape[1:]
-    T = np.empty((R, K))
-    for runs in blocks(R, K * scoring_width(model, F)):
-        _score_runs(model, data.gather(runs), weight_scheme, out=T[runs])
+    K, F = mapped.rows.shape[1:]
+    T = np.empty((runs.size, K))
+    for part in blocks(runs.size, K * scoring_width(model, F)):
+        data = arrays_from_batches(mapped, runs[part])
+        model.standardize(data.rows)
+        _score_runs(model, data, weight_scheme, out=T[part])
     return T
 
 
@@ -381,9 +372,9 @@ def table_lpd(T):
     return float(T[:, 0].sum() / T.size)
 
 
-def loss(model, data, weight_scheme=UNWEIGHTED):
-    """Mean weighted negative log predicted probability of the true label."""
-    return -table_lpd(label_table(model, data, weight_scheme))
+def loss(model, mapped, weight_scheme=UNWEIGHTED, runs=None):
+    """Mean weighted negative log predicted probability of the true labels (see label_table)."""
+    return -table_lpd(label_table(model, mapped, weight_scheme, runs))
 
 
 def gradient(model, data, weight_scheme=UNWEIGHTED):
@@ -483,11 +474,11 @@ def train(mapped, runs, config, settings):
     (val_fraction, floor rule) is held out for early stopping; the returned
     model carries the parameters with the best held-out loss, or the final
     parameters when no hold-out exists.  No copy of the fit runs is kept:
-    the standardizer is summed over blocks of them (see _standardizer),
-    each step standardizes in place the rows it gathers from the read-only
-    mapped rows, each epoch's loss gathers, standardizes and scores the
-    hold-out runs (with none, the fit runs) one block at a time, and the
-    model gets the standardizer after the last step.  A non-finite
+    the standardizer is summed over blocks of them (see _standardizer) and
+    set on the model before the first step; each step gathers its rows from
+    the read-only mapped rows and standardizes them in place, and each
+    epoch's loss scores the hold-out runs (with none, the fit runs) one
+    block at a time (see label_table).  A non-finite
     parameter update (from a non-finite gradient or an overflowing step), a
     non-finite second moment or a non-finite epoch loss raises
     TrainingDivergedError; an update is checked before it reaches the
@@ -502,11 +493,7 @@ def train(mapped, runs, config, settings):
     order = rng.permutation(runs.size)
     fit_runs, hold_runs = runs[order[n_hold:]], runs[order[:n_hold]]
     model = Model(config, seed=rng.integers(2**31))
-
-    mean, scale = _standardizer(mapped, fit_runs)
-    # the rows are standardized as they are gathered: score takes them as
-    # they are until the standardizer is attached after the last step
-    model.x_mean = model.x_scale = None
+    model.set_standardizer(*_standardizer(mapped, fit_runs))
 
     # Adam, in place on the live parameter buffer; each line keeps the
     # operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
@@ -530,23 +517,15 @@ def train(mapped, runs, config, settings):
     per_step = max(1, min(settings.minibatch_size // unit, units))
     flat = mapped.rows.reshape(-1, F)
     layout = (mapped.rows, mapped.run_ids, mapped.kind, d, mapped.d_y, mapped.linear_names)
-    # each step's (n, F) block, and each gathered block of runs, is
-    # standardized whole, faster than its strided nonlinear columns: the
-    # tiles hold 0 and 1 in the linear ones, which is exact
-    tile_rows = max(per_step * unit, K)
-    shift, spread = np.zeros((tile_rows, F)), np.ones((tile_rows, F))
-    shift[:, :d], spread[:, :d] = mean, scale
     # each epoch's loss: the hold-out runs, or without any the fit runs
-    checked = MappedRuns(mapped, hold_runs if n_hold else fit_runs, (shift[:K], spread[:K]))
+    checked = hold_runs if n_hold else fit_runs
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
         perm = rng.permutation(units)
         for start in range(0, units, per_step):
             chosen = perm[start:start + per_step]
             chosen = fit_rows.take(np.sort(chosen) if multiclass else chosen, axis=0).ravel()
-            block = flat.take(chosen, axis=0)
-            block -= shift[:len(block)]
-            block /= spread[:len(block)]
+            block = model.standardize(flat.take(chosen, axis=0))
             g = gradient(model, ExampleArrays(*layout, chosen, block), scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
@@ -568,7 +547,7 @@ def train(mapped, runs, config, settings):
             if not np.isfinite(scratch).all():
                 raise TrainingDivergedError(epoch)
             params -= step_size
-        check = loss(model, checked, scheme)
+        check = loss(model, mapped, scheme, checked)
         if not np.isfinite(check):
             raise TrainingDivergedError(epoch)
         if n_hold:
@@ -581,6 +560,5 @@ def train(mapped, runs, config, settings):
                     break
     if best_params is not None:
         model.set_params(best_params)
-    model.set_standardizer(mean, scale)
     return model
 

@@ -218,16 +218,18 @@ def visual_export(model, mapped, coordinate=0):
     """Rows of (coordinate value, Pr(t=1 | phi), label) for a binary model.
 
     One row per row of map_table's result, in order; `coordinate` is as in
-    check_visual.  The rows are scored one block at a time.
+    check_visual.  The rows are gathered, standardized and scored one block
+    at a time.
     """
-    column = check_visual(mapped, coordinate)
+    column, d = check_visual(mapped, coordinate), mapped.d_nonlinear
     flat = mapped.rows.reshape(-1, mapped.rows.shape[-1])
     out = np.empty((flat.shape[0], 3))
     out[:, 0] = flat[:, column]
     out[:, 2] = 1.0
     out[::mapped.rows.shape[1], 2] = 0.0   # theta's row of each run
     for rows in blocks(flat.shape[0], clf.scoring_width(model, flat.shape[1])):
-        preds = model.score(mapped.x_nl[rows], mapped.x_lin[rows])
+        x = model.standardize(flat[rows].copy())
+        preds = model.score(x[:, :d], x[:, d:])
         out[rows, 1] = clf.expit(preds, out=preds)
     return out
 
@@ -307,7 +309,7 @@ def diagnose_mapped(mapped, model_cfg=None, settings=None, B=1000, R=1000, alpha
     except Exception as exc:
         raise PipelineError("train", exc) from exc
     try:
-        T = clf.label_table(model, clf.MappedRuns(mapped, val_runs), settings.weight_scheme)
+        T = clf.label_table(model, mapped, settings.weight_scheme, val_runs)
         lpd, run_scores = lpd_val(T)
         # label frequencies follow from the layout: one theta row of K per
         # binary run, each of the K labels once per multiclass run

@@ -126,10 +126,6 @@ class Corruption:
         if not self.variance_scale > 0:
             raise InvalidParameterError("variance_scale must be > 0")
 
-    @property
-    def is_identity(self):
-        return self.bias == 0.0 and self.variance_scale == 1.0
-
 
 @dataclass(eq=False)
 class SimulationTable:
@@ -151,7 +147,6 @@ class SimulationTable:
     log_p: np.ndarray | None = None
     log_q: np.ndarray | None = None
     run_ids: np.ndarray | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.draws, self.y = (np.asarray(a, dtype=float) for a in (self.draws, self.y))
@@ -198,15 +193,11 @@ class SimulationTable:
     d_theta = property(lambda self: self.draws.shape[2])
     d_y = property(lambda self: self.y.shape[1])
 
-    @property
-    def has_densities(self):
-        return self.log_p is not None and self.log_q is not None
-
     def take(self, idx):
         """The table of the runs at positions idx (an index array or a slice)."""
         log_p, log_q = (None if a is None else a[idx] for a in (self.log_p, self.log_q))
         return SimulationTable(self.theta[idx], self.y[idx], self.draws[idx], log_p, log_q,
-                               self.run_ids[idx], self.provenance)
+                               self.run_ids[idx])
 
 
 def _ar1_in_place(x, mean, rho):
@@ -305,9 +296,7 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
         for runs in blocks(S, (M + 1) * d):
             _isotropic_logpdf(occupants[runs], mean_p[runs], sd_p, log_p[runs])
             _isotropic_logpdf(occupants[runs], mean_q[runs], sd_q, log_q[runs])
-    prov = ("gaussian d=%d S=%d M=%d sigma2=%g bias=%g scale=%g rho=%g seed=%d"
-            % (d, S, M, sigma2, c.bias, c.variance_scale, rho, seed))
-    return SimulationTable(occupants[:, 0], y, draws, log_p, log_q, provenance=prov)
+    return SimulationTable(occupants[:, 0], y, draws, log_p, log_q)
 
 
 def write_table(table, path):

@@ -26,7 +26,7 @@ def bootstrap_ci(run_scores, R=1000, alpha=0.05, seed=0, offset=0.0):
 
 
 def label_table(model, data, weight_scheme=clf.UNWEIGHTED):
-    """The (R, K) label table from one scoring pass over all R runs."""
+    """The (R, K) label table from one scoring pass over all R runs' standardized rows."""
     if data.multiclass:
         return clf.run_log_probs(model, data) * clf.example_weights(
             np.arange(data.n_classes), weight_scheme).sum()
@@ -37,12 +37,11 @@ def label_table(model, data, weight_scheme=clf.UNWEIGHTED):
     return T
 
 
-def scored_runs(model, mapped, runs, standardizer=None, weight_scheme=clf.UNWEIGHTED):
-    """label_table of the runs at positions `runs`, gathered (and standardized) in one copy."""
+def scored_runs(model, mapped, runs, weight_scheme=clf.UNWEIGHTED):
+    """label_table of the runs at positions `runs`, gathered and standardized in one copy."""
     data = clf.arrays_from_batches(mapped, runs)
-    if standardizer is not None:
-        data.x_nl -= standardizer[0]
-        data.x_nl /= standardizer[1]
+    data.x_nl -= model.x_mean
+    data.x_nl /= model.x_scale
     return label_table(model, data, weight_scheme)
 
 
@@ -76,9 +75,10 @@ def gaussian_log_densities(table, sigma2, c):
 
 
 def visual_export(model, mapped, column):
-    """(value, Pr(t=1 | phi), label) of every row, scored in one pass."""
+    """(value, Pr(t=1 | phi), label) of every row, standardized and scored in one pass."""
     values = mapped.rows.reshape(-1, mapped.rows.shape[-1])[:, column]
-    preds = model.score(mapped.x_nl, mapped.x_lin)
+    x_nl = (mapped.x_nl - model.x_mean) / model.x_scale
+    preds = model.score(x_nl, mapped.x_lin)
     return np.column_stack([values, clf.expit(preds, out=preds), mapped.labels])
 
 

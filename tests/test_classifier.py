@@ -644,36 +644,26 @@ def test_train_in_small_blocks_gives_the_same_model(monkeypatch, kind, d):
 @pytest.mark.parametrize("held_out", [True, False], ids=["hold-out", "validation"])
 @pytest.mark.parametrize("kind, d", MAPPINGS, ids=MAPPING_IDS)
 def test_mapped_runs_score_in_blocks_with_the_one_gather_bits(monkeypatch, kind, d, held_out):
-    # 193 runs out of table order, gathered from the map in blocks of 64
-    # (the one-run tail joined to the third); a hold-out block is
-    # standardized whole in place and its strided nonlinear columns scored
-    # as they are, a validation block by a model that carries the
-    # standardizer; the reference standardizes the columns of one copy
+    # 193 runs gathered from the map in blocks of 64 (the one-run tail
+    # joined to the third), each block standardized whole in place by the
+    # model and its strided nonlinear columns scored; the runs are out of
+    # table order as train holds them out, or sorted as diagnose_mapped
+    # validates them.  The reference standardizes the columns of one copy
     mapped = make_mapped(kind, d=d, S=200, M=2, bias=0.5, seed=6)
     runs = np.random.default_rng(0).permutation(200)[:193]
+    if not held_out:
+        runs = np.sort(runs)
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=(16,)), seed=2)
     model.set_params(model.get_params()
                      + np.random.default_rng(3).normal(scale=0.5, size=model.params.size))
-    standardizer = one_shot_reference.standardizer(mapped, runs)
-    if held_out:
-        # train's tiles: the mean and scale over the nonlinear columns of
-        # a run's K rows, 0 and 1 over the linear ones
-        model.x_mean = model.x_scale = None
-        shift, spread = np.zeros(mapped.rows.shape[1:]), np.ones(mapped.rows.shape[1:])
-        shift[:, :mapped.d_nonlinear], spread[:, :mapped.d_nonlinear] = standardizer
-        data = clf.MappedRuns(mapped, runs, (shift, spread))
-        want_from = standardizer
-    else:
-        model.set_standardizer(*standardizer)
-        data = clf.MappedRuns(mapped, runs)
-        want_from = None
+    model.set_standardizer(*one_shot_reference.standardizer(mapped, runs))
     scheme = clf.UNWEIGHTED if mapped.multiclass else clf.balanced_binary(2)
-    want = one_shot_reference.scored_runs(model, mapped, runs, want_from, scheme)
+    want = one_shot_reference.scored_runs(model, mapped, runs, scheme)
     width = 3 * clf.scoring_width(model, mapped.rows.shape[-1])
     monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * width)
     assert [b.stop - b.start for b in sm.blocks(193, width)] == [64, 64, 65]
-    np.testing.assert_array_equal(clf.label_table(model, data, scheme), want)
-    assert clf.loss(model, data, scheme) == -clf.table_lpd(want)
+    np.testing.assert_array_equal(clf.label_table(model, mapped, scheme, runs), want)
+    assert clf.loss(model, mapped, scheme, runs) == -clf.table_lpd(want)
 
 
 def test_train_without_a_hold_out_scores_its_loss_in_run_blocks():
@@ -722,16 +712,21 @@ def test_multiclass_scoring_per_run_matches_per_example_reference(monkeypatch):
     ref.set_params(model.get_params())
     ref.x_mean, ref.x_scale = model.x_mean, model.x_scale
     expected = reference_class_log_probs(ref, True, ref_arrays[1], ref_arrays[2])
+    # the scoring functions take standardized rows: a gather of all runs
+    # and one of two, each standardized by the model
+    every_run = clf.arrays_from_batches(mapped, all_runs(mapped))
+    two_runs = clf.arrays_from_batches(mapped, [1, 0])
+    for data in (every_run, two_runs):
+        model.standardize(data.rows)
     scored = _recording_score(model)
-    logp = clf.run_log_probs(model, mapped)
+    logp = clf.run_log_probs(model, every_run)
     assert logp.shape == (12, 6)
     # example 0 of a run holds its occupants in order, theta in slot 0
     np.testing.assert_allclose(logp, expected[::6], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(per_example_log_probs(model, mapped), expected,
+    np.testing.assert_allclose(per_example_log_probs(model, every_run), expected,
                                rtol=0, atol=1e-12)
     assert scored == [12 * 6] * 2      # one pass over each run's K rows
     # gathered runs are scored in the order given
-    two_runs = clf.arrays_from_batches(mapped, [1, 0])
     np.testing.assert_allclose(clf.run_log_probs(model, two_runs), expected[[6, 0]],
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(per_example_log_probs(model, two_runs),
@@ -778,8 +773,10 @@ def test_multiclass_gradient_matches_per_slot_reference(activation):
     }
     for name, runs in subsets.items():
         idx = _example_positions(runs, M + 1)
+        data = clf.arrays_from_batches(mapped, runs)
+        model.standardize(data.rows)
         for scheme in (clf.UNWEIGHTED, clf.balanced_binary(M)):
-            g = clf.gradient(model, clf.arrays_from_batches(mapped, runs), scheme)
+            g = clf.gradient(model, data, scheme)
             want = reference_gradient(ref, (mc, x_nl[idx], x_lin[idx], labels[idx]), scheme)
             err = np.max(np.abs(g - want))
             assert err <= 1e-13 * np.max(np.abs(want)), (name, scheme, err)
@@ -839,8 +836,8 @@ def test_early_stopping_restores_recorded_best_params(monkeypatch):
     record = []
     real_loss = clf.loss
 
-    def recording_loss(model, data, scheme=clf.UNWEIGHTED):
-        value = real_loss(model, data, scheme)
+    def recording_loss(model, data, scheme=clf.UNWEIGHTED, runs=None):
+        value = real_loss(model, data, scheme, runs)
         record.append((value, model.get_params()))
         return value
 
@@ -931,8 +928,9 @@ def test_passes_only_read_the_mapped_rows(hidden, activation, standardized_rows,
     model = clf.Model(clf.config_for_table(mapped, hidden_sizes=hidden,
                                            activation=activation), seed=2)
     if standardized_rows:
-        # as inside train: the rows are scored as they are
-        model.x_mean = model.x_scale = None
+        # as after train: each pass standardizes rows of its own, in place
+        model.set_standardizer(np.full(mapped.d_nonlinear, 0.3),
+                               np.full(mapped.d_nonlinear, 1.7))
     params = model.get_params()
     scheme = clf.UNWEIGHTED if mapped.multiclass else clf.balanced_binary(3)
     g1 = clf.gradient(model, mapped, scheme)
@@ -945,7 +943,7 @@ def test_passes_only_read_the_mapped_rows(hidden, activation, standardized_rows,
         assert not np.shares_memory(scores, source)
     assert np.isfinite(clf.loss(model, mapped, scheme))
     assert np.isfinite(dg.lpd_val(clf.label_table(model, mapped, scheme))[0])
-    if not (standardized_rows or mapped.multiclass):
+    if not mapped.multiclass:
         assert dg.visual_export(model, mapped).shape == (mapped.rows[..., 0].size, 3)
     np.testing.assert_array_equal(mapped.rows, before)
     np.testing.assert_array_equal(model.get_params(), params)
@@ -1064,5 +1062,45 @@ def test_label_table_in_run_blocks_gives_the_one_shot_bits(monkeypatch, kind, we
     width = 3 * clf.scoring_width(model, mapped.rows.shape[-1])
     monkeypatch.setattr(sm, "_CHUNK_ELEMENTS", 64 * width)
     assert [b.stop - b.start for b in sm.blocks(193, width)] == [64, 64, 65]
-    np.testing.assert_array_equal(clf.label_table(model, data, scheme),
-                                  one_shot_reference.label_table(model, data, scheme))
+    np.testing.assert_array_equal(
+        clf.label_table(model, data, scheme),
+        one_shot_reference.scored_runs(model, data, all_runs(data), scheme))
+
+
+def test_standardize_works_through_tiles_with_the_whole_block_bits():
+    # two whole tiles and a one-row tail, as (n, F) rows and as runs of
+    # K = 3 rows; the linear columns, extreme values included, keep their bits
+    d, n_lin = 3, 2
+    cfg = clf.ModelConfig(clf.ARCH_BINARY, input_dim=d, hidden_sizes=(4,),
+                          n_linear_features=n_lin)
+    model = clf.Model(cfg, seed=0)
+    rng = np.random.default_rng(5)
+    mean, scale = rng.normal(size=d), rng.uniform(0.5, 2.0, d)
+    model.set_standardizer(mean, scale)
+    n = 2 * clf.STANDARDIZE_ROWS + 1
+    raw = rng.normal(scale=30.0, size=(n, d + n_lin))
+    raw[:4, d:] = [[-0.0, np.inf], [-np.inf, 5e-324], [-5e-324, 1e308], [-1e308, 0.0]]
+    for shape in ((n, d + n_lin), (n // 3, 3, d + n_lin)):
+        rows = raw.reshape(shape).copy()
+        assert model.standardize(rows) is rows
+        flat = rows.reshape(n, -1)
+        np.testing.assert_array_equal(flat[:, :d], (raw[:, :d] - mean) / scale)
+        assert flat[:, d:].tobytes() == raw[:, d:].tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(1,), (8,)])
+def test_forward_scores_of_strided_and_contiguous_rows_are_equal(hidden):
+    # the passes score the strided nonlinear columns of the blocks they
+    # gather and standardize; a contiguous copy must give the same bits
+    rng = np.random.default_rng(11)
+    for d in range(1, 10):
+        cfg = clf.ModelConfig(clf.ARCH_BINARY, input_dim=d, hidden_sizes=hidden,
+                              n_linear_features=2)
+        model = clf.Model(cfg, seed=d)
+        model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
+        model.set_standardizer(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
+        for n in (1, 2, 3, 5, 8, 63, 64, 65, 127, 1000, 3457, 7000):
+            rows = model.standardize(rng.normal(scale=2.0, size=(n, d + 2)))
+            strided = model.score(rows[:, :d], rows[:, d:])
+            contiguous = model.score(np.ascontiguousarray(rows[:, :d]), rows[:, d:])
+            np.testing.assert_array_equal(strided, contiguous, err_msg="d=%d n=%d" % (d, n))

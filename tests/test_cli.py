@@ -28,7 +28,7 @@ def test_simulate_and_reread(tmp_path, capsys):
     assert code == 0
     table = sm.read_table(str(out))
     assert table.S == 20 and table.M == 4 and table.d_theta == 2
-    assert table.has_densities
+    assert table.log_p is not None and table.log_q is not None
     assert "wrote" in capsys.readouterr().out
 
 
@@ -43,7 +43,8 @@ def test_simulate_deterministic(tmp_path):
 def test_simulate_no_densities(tmp_path):
     out = tmp_path / "t.jsonl"
     run(["simulate", "--S", "3", "--M", "2", "--no-densities", "--out", str(out)])
-    assert not sm.read_table(str(out)).has_densities
+    bare = sm.read_table(str(out))
+    assert bare.log_p is None and bare.log_q is None
 
 
 def test_diagnose_report_round_trip(tmp_path, capsys):

@@ -558,18 +558,18 @@ def test_run_pipeline_scores_the_validation_runs_once(name, monkeypatch):
         trained.append(len(scored))
         return model
 
-    def recording_label_table(model, data, scheme=clf.UNWEIGHTED):
-        scored.append(data)
-        return real_label_table(model, data, scheme)
+    def recording_label_table(model, mapped, scheme=clf.UNWEIGHTED, runs=None):
+        scored.append((mapped, runs))
+        return real_label_table(model, mapped, scheme, runs)
 
     monkeypatch.setattr(clf, "train", recording_train)
     monkeypatch.setattr(clf, "label_table", recording_label_table)
     rep, test, model = dg.run_pipeline(table, kind, cfg, model_cfg=model_cfg,
                                        settings=settings, B=40, R=150)
     (after_train,) = trained
-    (val_data,) = scored[after_train:]
-    assert len(val_data) == int(settings.val_fraction * table.S)
-    assert rep.lpd_val == -clf.loss(model, val_data, settings.weight_scheme)
+    ((mapped, val_runs),) = scored[after_train:]
+    assert len(val_runs) == int(settings.val_fraction * table.S)
+    assert rep.lpd_val == -clf.loss(model, mapped, settings.weight_scheme, val_runs)
 
 
 def test_run_pipeline_heap_peak_is_the_map_plus_a_fixed_allowance():

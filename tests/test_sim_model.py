@@ -63,11 +63,11 @@ def test_posterior_validation_errors():
 def test_corruption():
     post = exact_gaussian_posterior(np.array([1.0]), 1.0)
     c = sm.Corruption(bias=0.5, variance_scale=2.0)
-    assert not c.is_identity
+    assert (c.bias, c.variance_scale) != (0.0, 1.0)
     q = corrupt(post, c)
     np.testing.assert_allclose(q.mean, post.mean + 0.5)
     np.testing.assert_allclose(q.covariance, 2.0 * post.covariance)
-    assert sm.Corruption().is_identity
+    assert (sm.Corruption().bias, sm.Corruption().variance_scale) == (0.0, 1.0)
     with pytest.raises(sm.InvalidParameterError):
         sm.Corruption(variance_scale=0.0)
 
@@ -110,7 +110,8 @@ def test_generate_table_determinism_and_shapes():
     c = sm.Corruption(bias=0.2)
     t1 = sm.generate_gaussian_table(2, 4, 3, 1.0, c, seed=5, attach_densities=True)
     t2 = sm.generate_gaussian_table(2, 4, 3, 1.0, c, seed=5, attach_densities=True)
-    assert t1.S == 4 and t1.M == 3 and t1.d_theta == 2 and t1.has_densities
+    assert t1.S == 4 and t1.M == 3 and t1.d_theta == 2
+    assert t1.log_p is not None and t1.log_q is not None
     assert t1.theta.shape == (4, 2) and t1.y.shape == (4, 2)
     assert t1.draws.shape == (4, 3, 2) and t1.log_p.shape == (4, 4)
     np.testing.assert_array_equal(t1.run_ids, np.arange(4))
@@ -119,7 +120,7 @@ def test_generate_table_determinism_and_shapes():
     np.testing.assert_array_equal(t1.log_p, t2.log_p)
     t3 = sm.generate_gaussian_table(2, 4, 3, 1.0, c, seed=6)
     assert not np.array_equal(t1.theta[0], t3.theta[0])
-    assert not t3.has_densities
+    assert t3.log_p is None and t3.log_q is None
 
 
 def test_minimal_table():
@@ -219,9 +220,9 @@ def test_take_selects_runs():
     for name in ("theta", "y", "draws", "log_p", "log_q"):
         np.testing.assert_array_equal(getattr(sub, name), getattr(t, name)[[3, 1]])
     assert t.take(slice(0, 0)).S == 0
-    assert t.take([0]).has_densities
+    assert t.take([0]).log_p is not None and t.take([0]).log_q is not None
     bare = sm.generate_gaussian_table(1, 3, 2, 1.0, sm.Corruption(), seed=0)
-    assert bare.take([2]).log_p is None and not bare.take([2]).has_densities
+    assert bare.take([2]).log_p is None and bare.take([2]).log_q is None
 
 
 def test_write_read_round_trip(tmp_path):
@@ -351,7 +352,7 @@ def test_read_table_skips_blank_lines_and_keeps_ids(tmp_path):
     np.testing.assert_array_equal(t.run_ids, [-4, 9])
     np.testing.assert_array_equal(t.theta, [[0.5], [0.0]])
     np.testing.assert_array_equal(t.draws, [[[0.3], [0.4]], [[0.1], [0.2]]])
-    assert not t.has_densities
+    assert t.log_p is None and t.log_q is None
     # an empty table is a header with S=0 and no records
     path.write_text('{"d_theta":2,"d_y":1,"M":3,"S":0}\n')
     t = sm.read_table(str(path))
@@ -580,7 +581,8 @@ def test_batched_generator_matches_per_run_reference(d, rho, corruption):
                                              attach_densities=densities, rho=rho)
             ref = reference_gaussian_table(d, 40, 13, 0.8, corruption, seed=seed,
                                            attach_densities=densities, rho=rho)
-            assert new.S == ref.S and new.has_densities == densities
+            assert new.S == ref.S
+            assert (new.log_p is not None) == (new.log_q is not None) == densities
             np.testing.assert_array_equal(new.run_ids, ref.run_ids)
             np.testing.assert_array_equal(new.theta, ref.theta)
             np.testing.assert_array_equal(new.y, ref.y)
