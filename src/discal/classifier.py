@@ -10,10 +10,10 @@ where x is the nonlinear feature block and l the trailing linear features
 (log densities / ranks, not standardized -- their scale is meaningful).
 Every pass that scores gathers rows of its own from the map, standardizes
 their x in place with training statistics (Model.standardize) and scores
-them (Model.score).  The separable form is exactly
-permutation-equivariant over slots, which keeps the divergence estimate on
-autocorrelated draws valid without thinning; the permutation p-value is
-not valid there (a chain is not exchangeable with an independent theta).
+them (Model.score).  The separable form is exactly permutation-equivariant
+over slots, which keeps the divergence estimate on autocorrelated draws
+valid without thinning; the permutation p-value is not valid there (a
+chain is not exchangeable with an independent theta).
 
 Training is minibatch gradient descent with adaptive moments, weighted
 cross-entropy loss, and early stopping on held-out runs.  Everything is
@@ -23,7 +23,7 @@ deterministic given the seed (fixed shuffle order, fixed reduction order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,9 @@ STANDARDIZE_ROWS = 1024
 
 ARCH_BINARY = "binary"
 ARCH_MULTICLASS = "separable_multiclass"
+
+# Adam's decay rates of the first and second moments, and its denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -112,9 +115,6 @@ class TrainSettings:
     learning_rate: float = 1e-3
     epochs: int = 100
     minibatch_size: int = 256
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_scheme: WeightScheme = UNWEIGHTED
     patience: int = 10
     seed: int = 0
@@ -131,11 +131,6 @@ class TrainSettings:
             raise InvalidParameterError("patience must be >= 0")
         if not 0 <= self.val_fraction < 1:
             raise InvalidParameterError("val_fraction must be in [0, 1)")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise InvalidParameterError("%s must be in [0, 1)" % name)
-        if not self.adam_eps > 0:
-            raise InvalidParameterError("adam_eps must be > 0")
 
 
 class Model:
@@ -255,28 +250,33 @@ def _softmax(scores):
 # ---- dataset assembly -------------------------------------------------------
 
 @dataclass
-class ExampleArrays(lm.MappedTable):
-    """Runs gathered from a mapped table into rows of their own.
+class ExampleArrays:
+    """One training step: the standardized (n, F) rows of its examples and their labels.
 
-    A pass may change these rows in place (Model.standardize); map_table's
-    rows are read-only and shared by its run views.  gradient gets one per
-    training step: the examples at map positions `index` (whole runs for
-    multiclass), whose rows, standardized, are `block`.
+    A binary example is one row; a multiclass step holds whole runs, K rows
+    each.  x_nl and x_lin are the column views of the rows, as on a MappedTable.
     """
 
-    block: np.ndarray | None = None
+    rows: np.ndarray
+    labels: np.ndarray
+    kind: lm.MappingKind
+    d_nonlinear: int
+    n_classes: int
+    x_nl: np.ndarray = field(init=False, repr=False)
+    x_lin: np.ndarray = field(init=False, repr=False)
 
-    def scored_rows(self):
-        if self.block is None:
-            return super().scored_rows()
-        return self.block[:, :self.d_nonlinear], self.block[:, self.d_nonlinear:]
+    def __post_init__(self):
+        self.x_nl, self.x_lin = self.rows[:, :self.d_nonlinear], self.rows[:, self.d_nonlinear:]
+
+    @property
+    def multiclass(self):
+        return self.kind is lm.MappingKind.MULTICLASS
 
 
 def arrays_from_batches(mapped, runs):
-    """The runs at positions `runs` of a mapped table, in that order, in one gather."""
+    """The MappedTable of the runs at positions `runs`, in that order, in rows of its own."""
     runs = np.asarray(runs, dtype=np.intp)
-    return ExampleArrays(mapped.rows[runs], mapped.run_ids[runs], mapped.kind,
-                         mapped.d_nonlinear, mapped.d_y, mapped.linear_names)
+    return replace(mapped, rows=mapped.rows[runs], run_ids=mapped.run_ids[runs])
 
 
 def config_for_table(mapped, hidden_sizes=(64, 64), activation="tanh"):
@@ -304,7 +304,7 @@ def class_log_probs(model, data):
     if data.multiclass:
         raise InvalidParameterError("class_log_probs scores binary examples; "
                                     "multiclass examples are scored per run by run_log_probs")
-    p1 = model.score(*data.scored_rows())
+    p1 = model.score(data.x_nl, data.x_lin)
     expit(p1, out=p1)
     return _clamped_log(np.column_stack([1.0 - p1, p1]))
 
@@ -317,8 +317,7 @@ def run_log_probs(model, data):
     Every example of a run has its label's probability at column 0, since
     its label is theta's slot.
     """
-    x_nl, x_lin = data.scored_rows()
-    occupant_scores = model.score(x_nl, x_lin).reshape(-1, data.n_classes)
+    occupant_scores = model.score(data.x_nl, data.x_lin).reshape(-1, data.n_classes)
     return _clamped_log(_softmax(occupant_scores))
 
 
@@ -326,9 +325,9 @@ def label_table(model, mapped, weight_scheme=UNWEIGHTED, runs=None):
     """(R, K) weighted label log-likelihoods of R whole runs, each run scored once.
 
     The runs are those at positions `runs` of a mapped table, in that
-    order, or all of its runs.  T[s, j] is
-    the sum of the weighted clamped log probabilities of run s's K example
-    labels if occupant j held theta; column 0 holds the observed labels.
+    order, or all of its runs.  T[s, j] is the sum of the weighted clamped
+    log probabilities of run s's K example labels if occupant j held
+    theta; column 0 holds the observed labels.
     With occupant j as theta a binary run's row j has label 0 and every
     other row label 1, so T[s, j] = sum_k w1 L1[s, k] + (w0 L0[s, j]
     - w1 L1[s, j]), and rows that score the same give equal columns, bit
@@ -380,13 +379,13 @@ def loss(model, mapped, weight_scheme=UNWEIGHTED, runs=None):
 def gradient(model, data, weight_scheme=UNWEIGHTED):
     """Exact gradient of loss() w.r.t. the flat parameter vector.
 
-    Every multiclass example of a run has the loss -log_softmax(s_run)[0],
-    s_run its run's K occupant scores, so each run is scored once and its
-    scores get (softmax(s_run) - e_0) * (the sum of its K examples' weights,
-    added in label order) / n.
+    `data` is a training step or a standardized MappedTable.  Every
+    multiclass example of a run has the loss -log_softmax(s_run)[0], s_run
+    its run's K occupant scores, so each run is scored once and its scores
+    get (softmax(s_run) - e_0) * (the sum of its K examples' weights, added
+    in label order) / n.
     """
-    x_nl, x_lin = data.scored_rows()
-    scores, cache = model.score(x_nl, x_lin, keep_cache=True)
+    scores, cache = model.score(data.x_nl, data.x_lin, keep_cache=True)
     if data.multiclass:
         K = data.n_classes
         dscore = _softmax(scores.reshape(-1, K))
@@ -399,7 +398,7 @@ def gradient(model, data, weight_scheme=UNWEIGHTED):
         dout -= labels
         dout *= example_weights(labels, weight_scheme)
         dout /= labels.size
-    return _backprop(model, cache, x_lin, dout)
+    return _backprop(model, cache, data.x_lin, dout)
 
 
 def _backprop(model, cache, x_lin, dout):
@@ -465,20 +464,22 @@ def _standardizer(mapped, runs):
 def train(mapped, runs, config, settings):
     """Minibatch training with adaptive moments and early stopping.
 
-    Trains on the runs at positions `runs` of a mapped table.  Each epoch
-    visits the fit examples in a fresh random order, minibatch_size at a
-    time.  Multiclass training draws whole runs instead, minibatch_size // K
-    of them per step (at least one): a run's K examples share one loss term
+    Trains on the runs at positions `runs` of a mapped table; another
+    `config` than config_for_table's for it (with the same hidden sizes and
+    activation) raises InvalidParameterError.  Each epoch visits the fit
+    examples in a fresh random order, minibatch_size at a time.
+    Multiclass training draws whole runs instead, minibatch_size // K of
+    them per step (at least one): a run's K examples share one loss term
     and one scoring of its K rows, so a minibatch of whole runs still
     estimates the same mean loss without bias.  A fraction of the runs
     (val_fraction, floor rule) is held out for early stopping; the returned
     model carries the parameters with the best held-out loss, or the final
     parameters when no hold-out exists.  No copy of the fit runs is kept:
     the standardizer is summed over blocks of them (see _standardizer) and
-    set on the model before the first step; each step gathers its rows from
-    the read-only mapped rows and standardizes them in place, and each
-    epoch's loss scores the hold-out runs (with none, the fit runs) one
-    block at a time (see label_table).  A non-finite
+    set on the model before the first step; each step (an ExampleArrays)
+    gathers its rows from the read-only mapped rows and standardizes them
+    in place, and each epoch's loss scores the hold-out runs (with none,
+    the fit runs) one block at a time (see label_table).  A non-finite
     parameter update (from a non-finite gradient or an overflowing step), a
     non-finite second moment or a non-finite epoch loss raises
     TrainingDivergedError; an update is checked before it reaches the
@@ -487,6 +488,9 @@ def train(mapped, runs, config, settings):
     runs = np.asarray(runs, dtype=np.intp)
     if runs.size == 0:
         raise InvalidParameterError("empty training set")
+    fitted = config_for_table(mapped, config.hidden_sizes, config.activation)
+    if config != fitted:
+        raise InvalidParameterError("%s does not fit the mapped table: %s" % (config, fitted))
     rng = np.random.default_rng(settings.seed)
 
     n_hold = int(runs.size * settings.val_fraction)
@@ -503,11 +507,10 @@ def train(mapped, runs, config, settings):
     v = np.zeros_like(params)
     scratch = np.empty((2, params.size))
     step_size, denom = scratch
-    b1, b2 = settings.beta1, settings.beta2
-    step = 0
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    step = stale = 0
     best_loss, best_params = np.inf, None
-    stale = 0
-    (K, F), d = mapped.rows.shape[1:], mapped.d_nonlinear
+    K, F = mapped.rows.shape[1:]
     # the unit of a step: a whole run of K rows for multiclass, a row for
     # binary; row u of fit_rows holds unit u's map positions
     multiclass = mapped.multiclass
@@ -516,7 +519,7 @@ def train(mapped, runs, config, settings):
     units = len(fit_rows)
     per_step = max(1, min(settings.minibatch_size // unit, units))
     flat = mapped.rows.reshape(-1, F)
-    layout = (mapped.rows, mapped.run_ids, mapped.kind, d, mapped.d_y, mapped.linear_names)
+    layout = (mapped.kind, mapped.d_nonlinear, mapped.n_classes)
     # each epoch's loss: the hold-out runs, or without any the fit runs
     checked = hold_runs if n_hold else fit_runs
     scheme = settings.weight_scheme
@@ -525,8 +528,8 @@ def train(mapped, runs, config, settings):
         for start in range(0, units, per_step):
             chosen = perm[start:start + per_step]
             chosen = fit_rows.take(np.sort(chosen) if multiclass else chosen, axis=0).ravel()
-            block = model.standardize(flat.take(chosen, axis=0))
-            g = gradient(model, ExampleArrays(*layout, chosen, block), scheme)
+            rows = model.standardize(flat.take(chosen, axis=0))
+            g = gradient(model, ExampleArrays(rows, mapped.label_of(chosen % K), *layout), scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
             denom *= g
@@ -539,7 +542,7 @@ def train(mapped, runs, config, settings):
             step_size *= settings.learning_rate
             np.divide(v, 1 - b2 ** step, out=denom)
             np.sqrt(denom, out=denom)
-            denom += settings.adam_eps
+            denom += ADAM_EPS
             step_size /= denom
             # step_size is non-finite whenever g is and when lr*mhat
             # overflows; denom is when g*g overflows, which would leave

@@ -115,8 +115,6 @@ def cmd_diagnose(args):
     cfg = lm.FeatureConfig(theta_subset=args.theta_subset,
                            linear_features=features)
     scheme = clf.balanced_binary(table.M) if args.weighted else clf.UNWEIGHTED
-    if args.weighted and args.mapping == "multiclass":
-        raise lm.ConfigurationError("--weighted applies to binary mappings only")
     settings = clf.TrainSettings(learning_rate=args.lr, epochs=args.epochs,
                                  minibatch_size=args.minibatch,
                                  weight_scheme=scheme, patience=args.patience,

@@ -20,9 +20,6 @@ other columns.  The test's exchangeable unit is which of a run's K = M+1
 occupants holds theta: under calibration theta and the M draws are
 exchangeable given y, so each replicate redraws it per run.  That keeps
 the p-value exact at any sample size for IID draws, under every mapping.
-It reports
-p = #{b : LPD_b >= observed LPD} / B and gathers its B replicates in
-bounded chunks, with no loop over B.
 """
 
 from __future__ import annotations
@@ -94,10 +91,7 @@ def divergence_estimate(lpd, weight_scheme, class_weights, n_val_examples=0):
     negative estimate; it is reported unclamped so CIs stay honest.
     """
     class_weights = np.asarray(class_weights, dtype=float)
-    if weight_scheme.kind == "balanced_binary":
-        offset = math.log(2.0)
-    else:
-        offset = entropy(class_weights)
+    offset = math.log(2.0) if weight_scheme.kind == "balanced_binary" else entropy(class_weights)
     return DivergenceReport(
         lpd_val=lpd,
         class_weights=class_weights,
@@ -285,6 +279,9 @@ def diagnose_mapped(mapped, model_cfg=None, settings=None, B=1000, R=1000, alpha
     run_pipeline's stages after the map, on map_table's result `mapped`:
     mapped with pipeline_seeds(settings.seed)[0], it gives run_pipeline's
     (report, test, model).  B, R and alpha are checked first, as there.
+    Balanced weights and their log 2 offset fit binary runs of M + 1 rows
+    only: another map stops a balanced_binary(M) diagnosis at stage
+    'train', before any training.
     """
     if settings is None:
         settings = clf.TrainSettings()
@@ -303,6 +300,10 @@ def diagnose_mapped(mapped, model_cfg=None, settings=None, B=1000, R=1000, alpha
     except Exception as exc:
         raise PipelineError("split", exc) from exc
     try:
+        scheme, M = settings.weight_scheme, mapped.rows.shape[1] - 1
+        if scheme.kind == "balanced_binary" and (mapped.multiclass or scheme.M != M):
+            raise InvalidParameterError("balanced_binary(%d) does not fit a %s map of M = %d"
+                                        % (scheme.M, mapped.kind.value, M))
         if model_cfg is None:
             model_cfg = clf.config_for_table(mapped)
         model = clf.train(mapped, train_runs, model_cfg, replace(settings, seed=seed_train))

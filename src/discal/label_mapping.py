@@ -87,10 +87,8 @@ class MappedTable:
     binary example is one row, labelled 0 for theta and 1 for a draw.
     Multiclass example k (label k) is all K rows of its run with theta in
     slot k and the draws in order around it (rows[s][_cyclic_insertion(K)[k]]).
-    Example s*K + k is row k, or example k, of run s.  `index` selects
-    examples by that position (a training step's labels and run ids); None
-    means all of them, in order.  x_nl and x_lin are the column views of
-    the flattened rows.  Iterating yields one Run per run.
+    Example s*K + k is row k, or example k, of run s.  x_nl and x_lin are
+    the column views of the flattened rows.  Iterating yields one Run per run.
     """
 
     rows: np.ndarray
@@ -99,7 +97,6 @@ class MappedTable:
     d_nonlinear: int
     d_y: int = 0
     linear_names: tuple = ()
-    index: np.ndarray | None = None
     x_nl: np.ndarray = field(init=False, repr=False)
     x_lin: np.ndarray = field(init=False, repr=False)
 
@@ -115,39 +112,26 @@ class MappedTable:
     def n_classes(self):
         return self.rows.shape[1] if self.multiclass else 2
 
-    def _label_of(self, slot):
+    def label_of(self, slot):
         return slot if self.multiclass else np.minimum(slot, 1)
-
-    def _positions(self):
-        if self.index is not None:
-            return self.index
-        return np.arange(self.rows.shape[0] * self.rows.shape[1])
 
     @property
     def labels(self):
-        """(N,) label of each example."""
-        return self._label_of(self._positions() % self.rows.shape[1])
+        """(R*K,) label of each example."""
+        return self.label_of(np.tile(np.arange(self.rows.shape[1]), self.rows.shape[0]))
 
     @property
     def batch_ids(self):
-        """(N,) run id of each example."""
-        return self.run_ids[self._positions() // self.rows.shape[1]]
+        """(R*K,) run id of each example."""
+        return np.repeat(self.run_ids, self.rows.shape[1])
 
     def __len__(self):
         return self.rows.shape[0]
 
     def __iter__(self):
-        labels = self._label_of(np.arange(self.rows.shape[1]))
+        labels = self.label_of(np.arange(self.rows.shape[1]))
         labels.flags.writeable = False  # one array shared by every run
         return map(Run, self.run_ids.tolist(), itertools.repeat(labels), self.rows)
-
-    def scored_rows(self):
-        """(x_nl, x_lin): the rows one scoring pass reads, all of them, run by run.
-
-        A pass over a subset of examples gets its own rows (see
-        classifier.ExampleArrays.block).
-        """
-        return self.x_nl, self.x_lin
 
 
 def _selected(d_theta, cfg):
@@ -234,10 +218,10 @@ def map_table(table, kind, cfg, seed=0):
     Every mapping writes the same (S, K, F) occupant rows, K = M+1 per run
     with theta in row 0: [occupant (or its rank) | y | linear].  The rows
     are read-only: a pass that changes rows works on its own gathered copy.
-    The seed drives only the rank jitter
-    (see _jittered_ranks_all), whose rows per run are the rank mapping's
-    feature first, then each 'rank' linear feature's coordinates in
-    theta_subset order; mappings without ranks are seed-independent.
+    The seed drives only the rank jitter (see _jittered_ranks_all), whose
+    rows per run are the rank mapping's feature first, then each 'rank'
+    linear feature's coordinates in theta_subset order; mappings without
+    ranks are seed-independent.
     """
     if table.S == 0:
         raise ConfigurationError("cannot map an empty table")
@@ -255,8 +239,7 @@ def map_table(table, kind, cfg, seed=0):
     d_y = table.d_y if kind in (MappingKind.BINARY_FULL, MappingKind.MULTICLASS) else 0
     p = sum(ds if name == "rank" else 1 for name in cfg.linear_features)
 
-    # written in place: the rows are the output, with no temporaries of
-    # their size
+    # written in place: the rows are the output, with no temporaries of their size
     rows = np.empty((S, K, ds + d_y + p))
     occ = np.empty((S, K, 1)) if kind is MappingKind.BINARY_RANK else rows[:, :, :ds]
     cols = slice(None) if cfg.theta_subset is None else sel  # a basic slice copies nothing

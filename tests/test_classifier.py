@@ -68,6 +68,25 @@ def test_model_config_validation():
                         activation="sigmoidish")
 
 
+@pytest.mark.parametrize("kind, change", [
+    (lm.MappingKind.MULTICLASS, dict(architecture=clf.ARCH_BINARY, class_count=2)),
+    (lm.MappingKind.MULTICLASS, dict(class_count=3)),
+    (lm.MappingKind.BINARY_FULL, dict(architecture=clf.ARCH_MULTICLASS, class_count=4)),
+    (lm.MappingKind.BINARY_FULL, dict(input_dim=3)),
+    (lm.MappingKind.BINARY_FULL, dict(n_linear_features=1)),
+], ids=["binary-on-multiclass", "class-count", "multiclass-on-binary", "input-dim",
+        "linear-features"])
+def test_train_rejects_a_model_config_that_does_not_fit_the_map(kind, change):
+    # M = 3: K = 4 classes, 2 + 2 nonlinear columns and 2 linear ones; a
+    # config off the map's layout in any field is refused before any step
+    mapped = make_mapped(kind)
+    good = clf.config_for_table(mapped, hidden_sizes=(3,), activation="relu")
+    settings = clf.TrainSettings(epochs=1, val_fraction=0.0)
+    clf.train(mapped, all_runs(mapped), good, settings)
+    with pytest.raises(sm.InvalidParameterError, match="does not fit the mapped table"):
+        clf.train(mapped, all_runs(mapped), dataclasses.replace(good, **change), settings)
+
+
 def test_forward_binary_sigmoid_of_score():
     # a binary example's Pr(t=1) is the sigmoid of its own row's score
     mapped = make_mapped(lm.MappingKind.BINARY_FULL, S=3)
@@ -190,8 +209,7 @@ def test_settings_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("minibatch_size", 0), ("minibatch_size", -5), ("patience", -1),
-    ("val_fraction", -0.5), ("val_fraction", 1.0), ("beta1", -0.1), ("beta1", 1.0),
-    ("beta2", 1.5), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+    ("val_fraction", -0.5), ("val_fraction", 1.0),
 ])
 def test_settings_reject_out_of_range_values(field, value):
     with pytest.raises(sm.InvalidParameterError, match=field):
@@ -199,8 +217,7 @@ def test_settings_reject_out_of_range_values(field, value):
 
 
 def test_settings_accept_the_range_edges():
-    clf.TrainSettings(minibatch_size=1, patience=0, val_fraction=0.0, beta1=0.0,
-                      beta2=0.0, adam_eps=1e-300)
+    clf.TrainSettings(minibatch_size=1, patience=0, val_fraction=0.0)
 
 
 def per_example_log_probs(model, data):
@@ -423,11 +440,11 @@ def reference_train(mapped, config, settings):
             g = reference_gradient(model, (mc, x_nl[idx], x_lin[idx], labels[idx]),
                                    settings.weight_scheme)
             step += 1
-            m = settings.beta1 * m + (1 - settings.beta1) * g
-            v = settings.beta2 * v + (1 - settings.beta2) * g * g
-            mhat = m / (1 - settings.beta1 ** step)
-            vhat = v / (1 - settings.beta2 ** step)
-            params = params - settings.learning_rate * mhat / (np.sqrt(vhat) + settings.adam_eps)
+            m = clf.ADAM_BETA1 * m + (1 - clf.ADAM_BETA1) * g
+            v = clf.ADAM_BETA2 * v + (1 - clf.ADAM_BETA2) * g * g
+            mhat = m / (1 - clf.ADAM_BETA1 ** step)
+            vhat = v / (1 - clf.ADAM_BETA2 ** step)
+            params = params - settings.learning_rate * mhat / (np.sqrt(vhat) + clf.ADAM_EPS)
             model.set_params(params)
         check = reference_loss(model, hold_data or fit_data, settings.weight_scheme)
         assert np.isfinite(check)
@@ -506,8 +523,8 @@ def test_multiclass_minibatches_are_whole_runs(monkeypatch, minibatch_size):
     settings = clf.TrainSettings(epochs=epochs, minibatch_size=minibatch_size, seed=4,
                                  val_fraction=0.0)
     seen = _recorded_minibatches(monkeypatch)
-    clf.train(mapped, all_runs(mapped), cfg, settings)
-    K = M + 1
+    model = clf.train(mapped, all_runs(mapped), cfg, settings)
+    K, d = M + 1, mapped.d_nonlinear
     per_step = max(1, min(minibatch_size // K, S))
     steps = -(-S // per_step)
     assert len(seen) == epochs * steps
@@ -520,12 +537,13 @@ def test_multiclass_minibatches_are_whole_runs(monkeypatch, minibatch_size):
         covered = []
         for step, data in enumerate(seen[epoch * steps:(epoch + 1) * steps]):
             runs = fit_runs[np.sort(perm[step * per_step:(step + 1) * per_step])]
-            # whole runs in fit-row order: the map positions of all K
-            # examples of each, and their K rows each
-            assert isinstance(data, clf.ExampleArrays)
-            np.testing.assert_array_equal(data.index, (runs[:, None] * K + np.arange(K)).ravel())
-            np.testing.assert_array_equal(data.batch_ids, np.repeat(mapped.run_ids[runs], K))
-            assert data.scored_rows()[0].shape == (runs.size * K, mapped.d_nonlinear)
+            # whole runs in fit-row order: the K rows of each, standardized,
+            # and the labels of its K examples
+            assert isinstance(data, clf.ExampleArrays) and data.multiclass
+            rows = mapped.rows[runs].reshape(runs.size * K, -1)
+            np.testing.assert_array_equal(data.x_nl, (rows[:, :d] - model.x_mean) / model.x_scale)
+            np.testing.assert_array_equal(data.x_lin, rows[:, d:])
+            np.testing.assert_array_equal(data.labels, np.tile(np.arange(K), runs.size))
             covered.extend(mapped.run_ids[runs])
         assert sorted(covered) == list(range(S))     # every fit run once per epoch
 
@@ -547,15 +565,14 @@ def test_binary_minibatches_slice_one_example_permutation(monkeypatch):
     assert len(seen) == len(want)
     flat, d = mapped.rows.reshape(n, -1), mapped.d_nonlinear
     for data, idx in zip(seen, want):
-        # fit example i is row i % K of fit run i // K: the index holds its
-        # map position, and the step scores its own standardized rows there
+        # fit example i is row i % K of fit run i // K: the step scores its
+        # own standardized rows of those map positions
         positions = fit_runs[idx // K] * K + idx % K
-        assert isinstance(data, clf.ExampleArrays)
-        np.testing.assert_array_equal(data.index, positions)
+        assert isinstance(data, clf.ExampleArrays) and not data.multiclass
         np.testing.assert_array_equal(data.labels, np.minimum(idx % K, 1))
-        x_nl, x_lin = data.scored_rows()
-        np.testing.assert_array_equal(x_nl, (flat[positions, :d] - model.x_mean) / model.x_scale)
-        np.testing.assert_array_equal(x_lin, flat[positions, d:])
+        np.testing.assert_array_equal(data.x_nl,
+                                      (flat[positions, :d] - model.x_mean) / model.x_scale)
+        np.testing.assert_array_equal(data.x_lin, flat[positions, d:])
 
 
 @pytest.mark.parametrize("kind, d", [(lm.MappingKind.BINARY_FULL, 2),

@@ -82,6 +82,31 @@ def test_diagnose_rejects_weighted_multiclass(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_diagnose_refuses_a_model_config_that_does_not_fit_the_map(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the CLI builds its config from the map; one that is off the map's
+    # layout (here, the binary architecture on a multiclass map) is refused
+    # by train, labelled with its stage, before any step
+    table = tmp_path / "table.jsonl"
+    run(["simulate", "--S", "30", "--M", "2", "--seed", "0", "--out", str(table)])
+    real, calls = clf.config_for_table, []
+
+    def off_the_map(mapped, *args, **kwargs):
+        cfg = real(mapped, *args, **kwargs)
+        calls.append(cfg)
+        if len(calls) > 1:
+            return cfg
+        return clf.ModelConfig(clf.ARCH_BINARY, cfg.input_dim, cfg.hidden_sizes,
+                               cfg.activation, cfg.n_linear_features)
+
+    monkeypatch.setattr(clf, "config_for_table", off_the_map)
+    code = run(["diagnose", "--table", str(table), "--mapping", "multiclass", "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stage 'train'" in err and "does not fit the mapped table" in err
+    assert len(calls) == 2
+
+
 def test_diagnose_missing_table(tmp_path, capsys):
     code = run(["diagnose", "--table", str(tmp_path / "nope.jsonl")])
     assert code == 1

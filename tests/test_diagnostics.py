@@ -610,3 +610,29 @@ def test_run_pipeline_stage_errors():
     with pytest.raises(dg.PipelineError) as err2:
         dg.run_pipeline(tiny, lm.MappingKind.BINARY_FULL, lm.FeatureConfig())
     assert err2.value.stage == "split"
+
+
+@pytest.mark.parametrize("kind, scheme, message", [
+    (lm.MappingKind.MULTICLASS, clf.balanced_binary(3), r"\(3\) does not fit a multiclass map"),
+    (lm.MappingKind.BINARY_FULL, clf.balanced_binary(50), r"\(50\) does not fit a binary_full"),
+    (lm.MappingKind.BINARY_NO_Y, clf.balanced_binary(2), r"\(2\) does not fit a binary_no_y"),
+], ids=["multiclass", "binary-M-50", "binary-noy-M-2"])
+def test_diagnose_refuses_a_weight_scheme_that_does_not_fit_the_map(monkeypatch, kind,
+                                                                    scheme, message):
+    # the balanced weights and the log 2 offset hold for binary runs of
+    # M + 1 = 4 examples only; anything else is stopped before training
+    mapped = make_mapped(M=3, kind=kind)
+    trained = []
+    monkeypatch.setattr(clf, "train", lambda *args: trained.append(args))
+    with pytest.raises(dg.PipelineError, match=message) as err:
+        dg.diagnose_mapped(mapped, settings=clf.TrainSettings(weight_scheme=scheme))
+    assert err.value.stage == "train" and trained == []
+    assert isinstance(err.value.original, sm.InvalidParameterError)
+
+
+def test_diagnose_refuses_a_model_config_that_does_not_fit_the_map():
+    mapped = make_mapped(kind=lm.MappingKind.MULTICLASS)
+    binary = clf.ModelConfig(clf.ARCH_BINARY, input_dim=2, n_linear_features=2)
+    with pytest.raises(dg.PipelineError, match="does not fit the mapped table") as err:
+        dg.diagnose_mapped(mapped, model_cfg=binary, settings=clf.TrainSettings(epochs=1))
+    assert err.value.stage == "train"

@@ -1,6 +1,5 @@
 """Tests for the label mappings and the mapped table."""
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,9 +176,8 @@ def test_multiclass_slot_views():
     np.testing.assert_allclose(lin[1, 1], [run.log_p[0], run.log_q[0]])
     np.testing.assert_allclose(lin[1, 2], [run.log_p[2], run.log_q[2]])
     # the classifier scores the same slots from the run's rows, once
-    x_nl, x_lin = b.scored_rows()
-    np.testing.assert_array_equal(x_nl[lm._cyclic_insertion(3)[1]], nl[1])
-    np.testing.assert_array_equal(x_lin[lm._cyclic_insertion(3)[1]], lin[1])
+    np.testing.assert_array_equal(b.x_nl[lm._cyclic_insertion(3)[1]], nl[1])
+    np.testing.assert_array_equal(b.x_lin[lm._cyclic_insertion(3)[1]], lin[1])
 
 
 def test_map_table_seed_only_affects_rank_jitter():
@@ -217,14 +215,14 @@ def test_pipeline_split_floor_rule_and_partition(monkeypatch):
         return real(mapped, runs)
 
     def recording_gradient(model, data, scheme=clf.UNWEIGHTED):
-        steps.append(data.index.copy())
+        steps.append(np.column_stack([data.rows, data.labels]))
         return real_gradient(model, data, scheme)
 
     monkeypatch.setattr(clf, "arrays_from_batches", recording)
     monkeypatch.setattr(clf, "gradient", recording_gradient)
     settings = clf.TrainSettings(epochs=1, seed=3, val_fraction=0.25)
-    dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(), settings=settings,
-                    B=10, R=100)
+    _, _, model = dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(),
+                                  settings=settings, B=10, R=100)
     _, s_split, s_train, _, _ = dg.pipeline_seeds(3)
     order = np.random.default_rng(s_split).permutation(10)
     val, train = np.sort(order[:2]), np.sort(order[2:])   # floor(0.25 * 10) = 2
@@ -235,10 +233,13 @@ def test_pipeline_split_floor_rule_and_partition(monkeypatch):
     assert len(seen) == 2
     np.testing.assert_array_equal(seen[0], train[hold_order[:2]])
     np.testing.assert_array_equal(seen[1], val)
-    # the epoch's minibatches visit every row of every fit run once
-    K = t.M + 1
-    np.testing.assert_array_equal(np.sort(np.concatenate(steps)),
-                                  np.sort((fit[:, None] * K + np.arange(K)).ravel()))
+    # the epoch's minibatches visit every row of every fit run once: each
+    # standardized, with its label, in some order
+    fit_map = real(lm.map_table(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig()), fit)
+    want = np.column_stack([model.standardize(fit_map.rows).reshape(fit_map.labels.size, -1),
+                            fit_map.labels])
+    got = np.concatenate(steps)
+    np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
     assert sorted(np.concatenate(seen + [fit]).tolist()) == list(range(10))   # a partition
     with pytest.raises(dg.PipelineError, match="val_fraction") as err:
         dg.run_pipeline(t, lm.MappingKind.BINARY_FULL, lm.FeatureConfig(),
@@ -268,17 +269,17 @@ def test_batch_examples_view():
         assert mapped.labels.size == 6 and mapped.rows.shape == (2, 3, 4)
         np.testing.assert_array_equal(mapped.labels[3:], b.labels)
         np.testing.assert_array_equal(mapped.batch_ids, [0, 0, 0, 1, 1, 1])
-        # a gather of runs, in the order given, into rows of its own
+        # a gather of runs, in the order given, into a map of its own
+        # writable rows, with the same layout
         data = clf.arrays_from_batches(mapped, [1, 0])
-        assert isinstance(data, clf.ExampleArrays) and data.rows.flags.writeable
+        assert type(data) is lm.MappedTable and data.rows.flags.writeable
+        assert not np.shares_memory(data.rows, mapped.rows)
+        assert (data.kind, data.d_nonlinear, data.d_y, data.linear_names) == \
+            (mapped.kind, mapped.d_nonlinear, mapped.d_y, mapped.linear_names)
         np.testing.assert_array_equal(data.rows, mapped.rows[[1, 0]])
+        np.testing.assert_array_equal(data.run_ids, [1, 0])
         np.testing.assert_array_equal(data.batch_ids, [1, 1, 1, 0, 0, 0])
         np.testing.assert_array_equal(data.labels, mapped.labels)
-        # a subset of binary examples (a training minibatch) views the same rows
-        sub = dataclasses.replace(data, index=np.array([5, 3]))
-        assert sub.rows is data.rows
-        np.testing.assert_array_equal(sub.labels, data.labels[[5, 3]])
-        np.testing.assert_array_equal(sub.batch_ids, [0, 0])
 
 
 # ---- guard: the batched mapper against the per-run reference ---------------
