@@ -22,13 +22,14 @@ deterministic given the seed (fixed shuffle order, fixed reduction order).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import label_mapping as lm
-from .sim_model import InvalidParameterError, blocks
+from .sim_model import InvalidParameterError, blocks, seed_sequence
 
 PROB_CLAMP = 1e-12
 
@@ -85,6 +86,13 @@ def example_weights(labels, scheme):
     return np.where(labels == 0, w0, w1)
 
 
+@functools.lru_cache
+def _weight_totals(K, scheme):
+    """The K labels' example weights summed in label order (cumsum) and pairwise (sum)."""
+    weights = example_weights(np.arange(K), scheme)
+    return np.cumsum(weights)[-1], weights.sum()
+
+
 @dataclass
 class ModelConfig:
     architecture: str
@@ -131,6 +139,7 @@ class TrainSettings:
             raise InvalidParameterError("patience must be >= 0")
         if not 0 <= self.val_fraction < 1:
             raise InvalidParameterError("val_fraction must be in [0, 1)")
+        seed_sequence(self.seed)  # train's default_rng would reject it mid-diagnosis
 
 
 class Model:
@@ -357,8 +366,8 @@ def scoring_width(model, n_features):
 def _score_runs(model, data, weight_scheme, out):
     """Write label_table of all the runs of `data` into `out`, in one scoring pass."""
     if data.multiclass:
-        np.multiply(run_log_probs(model, data),
-                    example_weights(np.arange(data.n_classes), weight_scheme).sum(), out=out)
+        np.multiply(run_log_probs(model, data), _weight_totals(data.n_classes, weight_scheme)[1],
+                    out=out)
         return
     L = class_log_probs(model, data).reshape(out.shape + (2,))
     L *= example_weights(np.arange(2), weight_scheme)
@@ -390,7 +399,7 @@ def gradient(model, data, weight_scheme=UNWEIGHTED):
         K = data.n_classes
         dscore = _softmax(scores.reshape(-1, K))
         dscore[:, 0] -= 1.0
-        dscore *= np.cumsum(example_weights(np.arange(K), weight_scheme))[-1] / scores.size
+        dscore *= _weight_totals(K, weight_scheme)[0] / scores.size
         dout = dscore.reshape(-1)
     else:
         labels = data.labels
@@ -522,6 +531,7 @@ def train(mapped, runs, config, settings):
     layout = (mapped.kind, mapped.d_nonlinear, mapped.n_classes)
     # each epoch's loss: the hold-out runs, or without any the fit runs
     checked = hold_runs if n_hold else fit_runs
+    run_labels = np.tile(np.arange(K), per_step) if multiclass else None  # whole runs
     scheme = settings.weight_scheme
     for epoch in range(settings.epochs):
         perm = rng.permutation(units)
@@ -529,7 +539,8 @@ def train(mapped, runs, config, settings):
             chosen = perm[start:start + per_step]
             chosen = fit_rows.take(np.sort(chosen) if multiclass else chosen, axis=0).ravel()
             rows = model.standardize(flat.take(chosen, axis=0))
-            g = gradient(model, ExampleArrays(rows, mapped.label_of(chosen % K), *layout), scheme)
+            labels = run_labels[:chosen.size] if multiclass else mapped.label_of(chosen % K)
+            g = gradient(model, ExampleArrays(rows, labels, *layout), scheme)
             step += 1
             np.multiply(g, 1 - b2, out=denom)
             denom *= g

@@ -229,7 +229,7 @@ def cmd_benchmark(args):
     args_dict = dict(d=args.d, S=args.S, M=args.M, sigma2=args.sigma2,
                      repetitions=args.repetitions, alpha=args.alpha,
                      B=args.B, epochs=args.epochs)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(cells))
+    seeds = sm.seed_sequence(args.seed).spawn(len(cells))
     jobs = [(label, corr, args_dict, int(ss.generate_state(1)[0]))
             for (label, corr), ss in zip(cells, seeds)]
     if workers > 1:

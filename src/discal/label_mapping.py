@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim_model import InvalidParameterError
+from .sim_model import InvalidParameterError, run_streams
 
 JITTER_SCALE = 1e-10
 
@@ -190,19 +190,9 @@ def _jitter_slack(values):
 
 
 def _run_jitter(seed, runs, shape):
-    """The tie-breaking jitter of the runs at positions `runs`: one `shape` draw per run.
-
-    Run i draws uniform(0, JITTER_SCALE, shape) from the i-th substream of
-    SeedSequence(seed).spawn(S), whatever S is.
-    """
-    root = np.random.SeedSequence(seed)
-    jitter = np.empty((len(runs),) + tuple(shape))
-    for j, i in enumerate(runs):
-        # the i-th child of root.spawn(S), built directly
-        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (int(i),),
-                                       pool_size=root.pool_size)
-        jitter[j] = np.random.default_rng(child).uniform(0.0, JITTER_SCALE, shape)
-    return jitter
+    """Tie-breaking jitter: run i's uniform(0, JITTER_SCALE, shape) draw, for each i in `runs`."""
+    draws = [rng.uniform(0.0, JITTER_SCALE, shape) for rng in run_streams(seed, runs)]
+    return np.array(draws).reshape((len(runs),) + tuple(shape))
 
 
 def _cyclic_insertion(K):

@@ -109,8 +109,7 @@ def jsd_conditional_mc(p, q, w=0.5, n_mc=10**5, seed=0):
         x = dist.sample(n_mc, rng)
         lp, lq = p.logpdf(x), q.logpdf(x)
         lr = np.logaddexp(math.log(w) + lp, math.log(1.0 - w) + lq)
-        ld = dist.logpdf(x)
-        vals = ld - lr
+        vals = (lp if dist is p else lq) - lr
         return wt * vals.mean(), (wt ** 2) * vals.var(ddof=1) / n_mc
 
     m1, v1 = term(p, w)

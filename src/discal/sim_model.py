@@ -49,6 +49,55 @@ class InvalidParameterError(ValueError):
         self.row = row
 
 
+def seed_sequence(seed):
+    """np.random.SeedSequence(seed), or InvalidParameterError naming a seed it rejects."""
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError("invalid seed %r: %s" % (seed, exc)) from exc
+
+
+def _hash(value, h, mult):
+    """One step of SeedSequence's hash, mod 2**32: (the hashed value, the next constant h)."""
+    h_next = h * mult & 0xFFFFFFFF
+    value = (value ^ h) * h_next & 0xFFFFFFFF
+    return value ^ value >> 16, h_next
+
+
+def run_streams(seed, runs):
+    """Yield, for each position i in `runs`, a Generator drawing run i's substream.
+
+    Run i's substream is default_rng(SeedSequence(seed).spawn(S)[i]) for
+    any S > i.  Every yield is the same Generator, moved to the next run:
+    draw from it before advancing.  Child i's pool is the root's with i
+    mixed in; that and PCG64's seeding are computed for a block of runs
+    at a time, without a SeedSequence or bit generator per run.
+    """
+    root = seed_sequence(seed)
+    n_words = sum(max(1, -(-int(e).bit_length() // 32)) for e in np.ravel(root.entropy))
+    # the root's pool took 4 * max(4, n_words) steps of the hash constant
+    h_pool = 0x43b0d7e5 * pow(0x931e8875, 4 * max(4, n_words), 2 ** 32) & 0xFFFFFFFF
+    rng = np.random.Generator(np.random.PCG64(0))
+    runs = np.asarray(runs, dtype=np.uint64)
+    for part in blocks(runs.size, 40):  # a run's temporaries: about 40 elements' bytes
+        h, pool, out = h_pool, [], []
+        for p in root.pool.tolist():
+            mixed, h = _hash(runs[part], h, 0x931e8875)
+            r = (0xca01f9dd * p - 0x4973f715 * mixed) & 0xFFFFFFFF
+            pool.append(r ^ r >> 16)
+        h = 0x8b51f9dd
+        for p in pool + pool:  # generate_state(4, np.uint64): 8 words from the cycled pool
+            word, h = _hash(p, h, 0x58f38ded)
+            out.append(word)
+        words = [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
+        for u0, u1, u2, u3 in zip(*words):
+            inc = ((u2 << 64 | u3) << 1 | 1) % 2 ** 128  # PCG64's seeding, mod 2**128
+            state = (inc + (u0 << 64 | u1)) * 0x2360ed051fc65da44385df649fccf645 + inc
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state % 2 ** 128, "inc": inc}}
+            yield rng
+
+
 class TableFormatError(ValueError):
     """A table file violates the JSONL schema."""
 
@@ -245,8 +294,8 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
     rho=0, otherwise an AR(1) chain with that stationary marginal.  With
     attach_densities, log_p holds the exact posterior log density and log_q
     the corrupted one, both evaluated at [theta, draws].  Each run uses an
-    independent RNG substream spawned from `seed`, so the table is
-    deterministic and independent of any parallel scheduling.
+    independent RNG substream spawned from `seed` (see run_streams), so the
+    table is deterministic and independent of any parallel scheduling.
 
     Only the random draws are taken run by run (one standard_normal call of
     2d + M*d values per substream: theta, the y noise, then the draws'
@@ -277,8 +326,8 @@ def generate_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False, rh
 
     # per run, rows are [theta, y noise, z_1..z_M]: one substream each
     buf = np.empty((S, M + 2, d))
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(S)):
-        np.random.default_rng(ss).standard_normal(out=buf[i].reshape(-1))
+    for run, rng in zip(buf, run_streams(seed, np.arange(S))):
+        rng.standard_normal(out=run.reshape(-1))
     y = buf[:, 1] * sd
     y += buf[:, 0]
     buf[:, 1] = buf[:, 0]

@@ -209,7 +209,7 @@ def test_settings_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("minibatch_size", 0), ("minibatch_size", -5), ("patience", -1),
-    ("val_fraction", -0.5), ("val_fraction", 1.0),
+    ("val_fraction", -0.5), ("val_fraction", 1.0), ("seed", -1),
 ])
 def test_settings_reject_out_of_range_values(field, value):
     with pytest.raises(sm.InvalidParameterError, match=field):

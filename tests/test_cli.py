@@ -306,6 +306,22 @@ def test_benchmark_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, worke
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("diagnose", "-3"),
+                                           ("benchmark", "-2")])
+def test_a_negative_seed_is_a_labelled_error(tmp_path, capsys, command, seed):
+    table, out = tmp_path / "table.jsonl", tmp_path / "out"
+    run(["simulate", "--S", "10", "--M", "2", "--out", str(table)])
+    argv = {"simulate": ["simulate", "--out", str(out)],
+            "diagnose": ["diagnose", "--table", str(table), "--epochs", "1", "--out", str(out)],
+            "benchmark": ["benchmark", "--grid", "bias:1", "--repetitions", "1",
+                          "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert run(argv + ["--seed", seed]) == 1
+    assert ("error: invalid seed %s: expected non-negative integer" % seed
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_diagnose_prints_the_ci_level_it_used(tmp_path, capsys):
     table = tmp_path / "table.jsonl"
     run(["simulate", "--S", "30", "--M", "3", "--seed", "0", "--out", str(table)])

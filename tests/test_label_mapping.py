@@ -116,6 +116,26 @@ def test_rank_statistic_jitter_breaks_ties_uniformly():
     np.testing.assert_array_equal(lm._jittered_ranks_all(vals, seed=7), ref)
 
 
+def reference_run_jitter(seed, runs, shape):
+    """_run_jitter as one SeedSequence child and one generator per run."""
+    root = np.random.SeedSequence(seed)
+    jitter = np.empty((len(runs),) + tuple(shape))
+    for j, i in enumerate(runs):
+        # the i-th child of root.spawn(S), built directly
+        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (int(i),),
+                                       pool_size=root.pool_size)
+        jitter[j] = np.random.default_rng(child).uniform(0.0, lm.JITTER_SCALE, shape)
+    return jitter
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 32, 2 ** 70 + 1])
+def test_run_jitter_matches_one_generator_per_run(seed):
+    runs = np.array([5, 0, 64, 1999, 63, 1000])
+    for shape in ((1, 4), (3, 9)):
+        np.testing.assert_array_equal(lm._run_jitter(seed, runs, shape),
+                                      reference_run_jitter(seed, runs, shape))
+
+
 def test_ranks_all_matches_pairwise_definition():
     rng = np.random.default_rng(4)
     vals = rng.standard_normal(8)

@@ -521,12 +521,30 @@ def test_generate_table_invalid_parameters():
         ({"rho": -0.1}, "rho"),
         ({"rho": 1.0}, "rho"),
         ({"rho": math.nan}, "rho"),
+        ({"seed": -1}, "invalid seed -1"),
     )
     for override, name in cases:
         kwargs = dict(d=2, S=3, M=4, sigma2=1.0, c=c, seed=0, rho=0.0)
         kwargs.update(override)
         with pytest.raises(sm.InvalidParameterError, match=name):
             sm.generate_gaussian_table(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 130 + 7,
+                                  [3, 2 ** 40, 7]])
+def test_run_streams_are_the_spawned_children(seed):
+    # run i's stream is PCG64(SeedSequence(seed).spawn(S)[i]): its state and its draws
+    S = 1000
+    children = np.random.SeedSequence(seed).spawn(S)
+    # the last case is every run, reversed, four times over: more than one block of runs
+    for positions in ([0, 1, 63, 64, S - 1], [700, 3, 999, 64, 12, 511],
+                      np.tile(np.arange(S)[::-1], 4)):
+        streams = sm.run_streams(seed, np.array(positions))
+        for i, rng in zip(positions, streams, strict=True):
+            ref = np.random.PCG64(children[i])
+            assert rng.bit_generator.state == ref.state
+            np.testing.assert_array_equal(rng.standard_normal(7),
+                                          np.random.Generator(ref).standard_normal(7))
 
 
 def reference_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False,
@@ -575,7 +593,7 @@ def reference_gaussian_table(d, S, M, sigma2, c, seed, attach_densities=False,
 @pytest.mark.parametrize("corruption", [sm.Corruption(),
                                         sm.Corruption(bias=0.3, variance_scale=1.7)])
 def test_batched_generator_matches_per_run_reference(d, rho, corruption):
-    for seed in (0, 7, 12345):
+    for seed in (0, 7, 12345, 2 ** 32, 2 ** 130 + 7):
         for densities in (True, False):
             new = sm.generate_gaussian_table(d, 40, 13, 0.8, corruption, seed=seed,
                                              attach_densities=densities, rho=rho)
