@@ -214,17 +214,20 @@ class Model:
     def _mlp_forward(self, X, keep_cache=False):
         """Scalar MLP output for each row of X (already standardized).
 
-        Bias adds and activations write into the array each matmul made.
+        Feature-major: the cache holds X.T (a view of the rows), then each
+        hidden layer's (h, n) activation, so bias adds and the backward
+        products and sums run along contiguous rows of n values.  Bias adds
+        and activations write into the array each matmul made.
         """
-        cache = [X]
-        h = X
+        h = X.T
+        cache = [h]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ W
-            h += b
+            h = W.T @ h
+            h += b[:, None]
             h = (np.tanh(h, out=h) if self.config.activation == "tanh"
                  else np.maximum(h, 0.0, out=h))
             cache.append(h)
-        out = (h @ self.weights[-1]).ravel()
+        out = (self.weights[-1].T @ h).ravel()
         out += self.biases[-1]
         return (out, cache) if keep_cache else out
 
@@ -413,23 +416,24 @@ def gradient(model, data, weight_scheme=UNWEIGHTED):
 def _backprop(model, cache, x_lin, dout):
     """Flat gradient, laid out like model.params, from d(loss)/d(score).
 
-    Consumes the forward pass's cache: its hidden activations are overwritten.
+    Consumes the forward pass's (h, n) cache: its hidden activations are
+    overwritten.  da is (h, n) too, so each bias gradient sums a contiguous row.
     """
     flat = np.empty_like(model.params)
     gw, gb, g_lin = model.layout(flat)
-    np.matmul(cache[-1].T, dout[:, None], out=gw[-1])
+    np.matmul(cache[-1], dout, out=gw[-1][:, 0])
     gb[-1][0] = dout.sum()
-    da = np.outer(dout, model.weights[-1].ravel())
+    da = model.weights[-1] * dout[None, :]
     for i in range(len(model.weights) - 2, -1, -1):
         a = cache[i + 1]
         if model.config.activation == "tanh":
             da *= np.subtract(1.0, np.multiply(a, a, out=a), out=a)
         else:
             da *= a > 0
-        np.matmul(cache[i].T, da, out=gw[i])
-        da.sum(axis=0, out=gb[i])
+        np.matmul(cache[i], da.T, out=gw[i])
+        da.sum(axis=1, out=gb[i])
         if i > 0:
-            da = da @ model.weights[i].T
+            da = model.weights[i] @ da
     # a contiguous copy: x_lin.T @ dout on a column view of the row block
     # reduces in another order and changes the last bits
     np.matmul(np.ascontiguousarray(x_lin).T, dout, out=g_lin)

@@ -1,6 +1,7 @@
 """Tests for the classifier core: forward passes, gradients, training."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -280,7 +281,9 @@ def test_probability_clamping_keeps_loss_finite():
 # ---- frozen reference: the training loop before the in-place rewrite --------
 # Parameters as separate arrays, two forward passes per gradient,
 # out-of-place Adam, and every multiclass example scored slot by slot from
-# its own copy of the K slot rows.
+# its own copy of the K slot rows.  Its forward and backward products take
+# the model's feature-major order, (h, n) activations, so binary training
+# matches it bit for bit.
 
 class ReferenceModel:
     def __init__(self, config, seed):
@@ -311,13 +314,13 @@ class ReferenceModel:
             offset += arr.size
 
     def mlp_forward(self, X):
-        cache = [X]
-        h = X
+        h = X.T
+        cache = [h]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ W + b
+            z = W.T @ h + b[:, None]
             h = np.tanh(z) if self.config.activation == "tanh" else np.maximum(z, 0.0)
             cache.append(h)
-        return (h @ self.weights[-1] + self.biases[-1]).ravel(), cache
+        return (self.weights[-1].T @ h + self.biases[-1]).ravel(), cache
 
     def score(self, x_nl, x_lin):
         return self.mlp_forward((x_nl - self.x_mean) / self.x_scale)[0] + x_lin @ self.w_linear
@@ -394,16 +397,16 @@ def reference_gradient(model, arrays, scheme):
     _, cache = model.mlp_forward((x_nl - model.x_mean) / model.x_scale)
     gw = [None] * len(model.weights)
     gb = [None] * len(model.biases)
-    gw[-1] = cache[-1].T @ dout[:, None]
+    gw[-1] = (cache[-1] @ dout)[:, None]
     gb[-1] = np.array([dout.sum()])
-    da = np.outer(dout, model.weights[-1].ravel())
+    da = model.weights[-1] * dout[None, :]
     for i in range(len(model.weights) - 2, -1, -1):
         a = cache[i + 1]
         dz = da * (1.0 - a * a) if model.config.activation == "tanh" else da * (a > 0)
-        gw[i] = cache[i].T @ dz
-        gb[i] = dz.sum(axis=0)
+        gw[i] = cache[i] @ dz.T
+        gb[i] = dz.sum(axis=1)
         if i > 0:
-            da = dz @ model.weights[i].T
+            da = model.weights[i] @ dz
     return np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb]
                           + [(x_lin.T @ dout).ravel()])
 
@@ -1121,3 +1124,97 @@ def test_forward_scores_of_strided_and_contiguous_rows_are_equal(hidden):
             strided = model.score(rows[:, :d], rows[:, d:])
             contiguous = model.score(np.ascontiguousarray(rows[:, :d]), rows[:, d:])
             np.testing.assert_array_equal(strided, contiguous, err_msg="d=%d n=%d" % (d, n))
+
+
+@pytest.mark.parametrize("hidden", [(8,), (5, 3)])
+def test_gradients_of_strided_and_contiguous_rows_are_equal(hidden):
+    # a step back-propagates through the strided columns of its gathered
+    # block; with several first-layer units, one input included, a
+    # contiguous copy gives the same bits (with one unit or none it does not)
+    rng = np.random.default_rng(12)
+    for d in range(1, 10):
+        cfg = clf.ModelConfig(clf.ARCH_BINARY, input_dim=d, hidden_sizes=hidden,
+                              n_linear_features=2)
+        model = clf.Model(cfg, seed=d)
+        model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
+        for n in (1, 2, 3, 5, 8, 63, 64, 65, 127, 1000, 1024, 3457):
+            rows = rng.normal(scale=2.0, size=(n, d + 2))
+            labels = rng.integers(0, 2, size=n)
+            step = clf.ExampleArrays(rows, labels, lm.MappingKind.BINARY_FULL, d, 2)
+            copy = clf.ExampleArrays(rows, labels, lm.MappingKind.BINARY_FULL, d, 2)
+            copy.x_nl = np.ascontiguousarray(copy.x_nl)
+            np.testing.assert_array_equal(clf.gradient(model, step), clf.gradient(model, copy),
+                                          err_msg="d=%d n=%d" % (d, n))
+
+
+# ---- the row-major kernel: each activation an (n, h) array -------------------
+# The layout before feature-major activations.  Its products and bias sums
+# reduce in another order, so the model agrees with it to rounding only.
+
+def row_major_forward(model, X, keep_cache=False):
+    cache = [X]
+    h = X
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = h @ W + b
+        h = np.tanh(z) if model.config.activation == "tanh" else np.maximum(z, 0.0)
+        cache.append(h)
+    out = (h @ model.weights[-1] + model.biases[-1]).ravel()
+    return (out, cache) if keep_cache else out
+
+
+def row_major_backprop(model, cache, x_lin, dout):
+    flat = np.empty_like(model.params)
+    gw, gb, g_lin = model.layout(flat)
+    gw[-1][...] = cache[-1].T @ dout[:, None]
+    gb[-1][0] = dout.sum()
+    da = np.outer(dout, model.weights[-1].ravel())
+    for i in range(len(model.weights) - 2, -1, -1):
+        a = cache[i + 1]
+        dz = da * (1.0 - a * a) if model.config.activation == "tanh" else da * (a > 0)
+        gw[i][...] = cache[i].T @ dz
+        gb[i][...] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ model.weights[i].T
+    g_lin[...] = x_lin.T @ dout
+    return flat
+
+
+def row_major_pass(model, data, scheme):
+    """Scores and gradient of a step through the row-major kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_mlp_forward", functools.partial(row_major_forward, model))
+        patch.setattr(clf, "_backprop", row_major_backprop)
+        return model.score(data.x_nl, data.x_lin), clf.gradient(model, data, scheme)
+
+
+@pytest.mark.parametrize("hidden", [(), (1,), (8,), (5, 3)], ids=str)
+@pytest.mark.parametrize("kind", [lm.MappingKind.BINARY_FULL, lm.MappingKind.MULTICLASS],
+                         ids=["binary", "multiclass"])
+def test_feature_major_kernel_agrees_with_the_row_major_kernel(hidden, kind):
+    # steps of 1, 64 and 1024 rows (multiclass: 1, 16 and 256 whole runs of
+    # K = 4), gathered and standardized as train does; without a hidden
+    # layer the backward pass's first product reads the rows themselves
+    rng = np.random.default_rng(12)
+    multiclass = kind is lm.MappingKind.MULTICLASS
+    K = 4 if multiclass else 2
+    scheme = clf.UNWEIGHTED if multiclass else clf.balanced_binary(3)
+    arch = clf.ARCH_MULTICLASS if multiclass else clf.ARCH_BINARY
+    for activation in ("tanh", "relu"):
+        for d in (1, 3):
+            cfg = clf.ModelConfig(arch, input_dim=d, hidden_sizes=hidden, activation=activation,
+                                  n_linear_features=2, class_count=K)
+            model = clf.Model(cfg, seed=d)
+            model.set_params(model.get_params() + rng.normal(scale=0.5, size=model.params.size))
+            model.set_standardizer(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
+            for n in (1, 64, 1024):
+                rows = max(1, n // K) * K if multiclass else n
+                labels = (np.tile(np.arange(K), rows // K) if multiclass
+                          else rng.integers(0, 2, size=rows))
+                block = model.standardize(rng.normal(scale=2.0, size=(rows, d + 2)))
+                data = clf.ExampleArrays(block, labels, kind, d, K)
+                case = (activation, d, rows)
+                for got, want in zip((model.score(data.x_nl, data.x_lin),
+                                      clf.gradient(model, data, scheme)),
+                                     row_major_pass(model, data, scheme)):
+                    err = np.max(np.abs(got - want))
+                    assert err <= 1e-12 * np.max(np.abs(want)), (case, err)
